@@ -2,9 +2,9 @@
 
 GO ?= go
 
-.PHONY: all build vet fmt-check test test-short race bench report examples faults fuzz fuzz-wire serve-tests chaos-tests telemetry-tests index-tests repl-tests commit-tests failover-tests trace-tests clean
+.PHONY: all build vet fmt-check test test-short race bench report examples faults fuzz fuzz-wire serve-tests chaos-tests telemetry-tests index-tests repl-tests commit-tests failover-tests trace-tests perfbench-check clean
 
-all: build vet fmt-check test faults race serve-tests chaos-tests telemetry-tests index-tests repl-tests commit-tests failover-tests trace-tests fuzz-wire
+all: build vet fmt-check test faults race serve-tests chaos-tests telemetry-tests index-tests repl-tests commit-tests failover-tests trace-tests perfbench-check fuzz-wire
 
 build:
 	$(GO) build ./...
@@ -131,6 +131,12 @@ trace-tests:
 	$(GO) test -race ./internal/telemetry/trace/
 	$(GO) test -race -run 'Trace|Exemplar|ReplData|AppendTracedFrame|SlowLogConcurrent|Delta' \
 		./internal/server/... ./internal/telemetry/... ./client/
+
+# The repository benchmark (perfbench/) is its own Go module, which the
+# root `go build ./...` never enters: vet it and run its tests so a change
+# to an internal API it uses cannot break the benchmark unnoticed.
+perfbench-check:
+	cd perfbench && $(GO) vet ./... && $(GO) test ./...
 
 # Short fuzz passes over the decoders and the language pipeline.
 fuzz:

@@ -68,7 +68,11 @@ var (
 // (which lives under internal/) so programs outside this module can
 // dispatch on remote failures with errors.Is.
 var (
-	ErrBadFrame      = wire.ErrBadFrame
+	ErrBadFrame = wire.ErrBadFrame
+	// ErrTooLarge is a frame over the size limit. A server whose response
+	// would exceed its frame limit answers with it and keeps the
+	// connection; the query ran, and running it again would only hit the
+	// same limit, so it is not retried.
 	ErrTooLarge      = wire.ErrTooLarge
 	ErrUnknownOp     = wire.ErrUnknownOp
 	ErrBadRequest    = wire.ErrBadRequest
@@ -474,7 +478,8 @@ func (c *Client) call(op byte, fields ...[]byte) (byte, [][]byte, error) {
 // never executed (dial failure, overload shed), or executed at most once
 // with the outcome unknown (deadline, lost connection) — which idempotent
 // and key-stamped requests tolerate. Application errors (no-root, txn,
-// I/O, degraded, ...) report a definite outcome and are never retried.
+// I/O, degraded, too-large, ...) report a definite outcome and are never
+// retried.
 func retryable(err error) bool {
 	if errors.Is(err, ErrClosed) || errors.Is(err, ErrDone) {
 		return false

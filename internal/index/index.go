@@ -250,22 +250,49 @@ func removeEntry(items []Entry, d *dynamic.Dynamic) ([]Entry, bool) {
 // on the newest Set of a lineage, at most once (the single-successor
 // rule); the caller serializes writers.
 func (s *Set) Apply(ops []Op) (*Set, ApplyStats) {
-	next := s.clone()
+	b := &builder{next: s.clone(), owned: map[string]*FieldIndex{}}
 	var stats ApplyStats
 	for _, op := range ops {
 		if op.Remove != nil {
-			stats.EntriesTouched += next.remove(op.Remove)
+			stats.EntriesTouched += b.remove(op.Remove)
 		}
 		if op.Add != nil {
-			stats.EntriesTouched += next.add(op.Add)
+			stats.EntriesTouched += b.add(op.Add)
 		}
 	}
-	return next, stats
+	return b.next, stats
 }
 
-// add appends d to its extent and every covering field index. Called on a
-// fresh clone only.
-func (next *Set) add(d *dynamic.Dynamic) int {
+// builder is one Apply call's unpublished successor. The field indexes
+// it has copied, bucket maps included, belong to that successor alone,
+// so later ops of the same call update them in place: each field's
+// bucket map is copied at most once per call, which keeps Rebuild and a
+// bulk follower apply linear in the members added.
+type builder struct {
+	next  *Set
+	owned map[string]*FieldIndex // label -> the successor's own copy
+}
+
+// field returns the successor's own copy of the field index for label,
+// copying the shared one on first use.
+func (b *builder) field(label string) *FieldIndex {
+	if nf := b.owned[label]; nf != nil {
+		return nf
+	}
+	fi := b.next.fields[label]
+	nf := &FieldIndex{field: fi.field, bit: fi.bit, defined: fi.defined, odd: fi.odd,
+		buckets: make(map[string][]Entry, len(fi.buckets)+1)}
+	for k, v := range fi.buckets {
+		nf.buckets[k] = v
+	}
+	b.owned[label] = nf
+	b.next.fields[label] = nf
+	return nf
+}
+
+// add appends d to its extent and every covering field index.
+func (b *builder) add(d *dynamic.Dynamic) int {
+	next := b.next
 	e := Entry{Dyn: d, Seq: next.seq}
 	next.seq++
 	next.total++
@@ -285,29 +312,24 @@ func (next *Set) add(d *dynamic.Dynamic) int {
 		if !member && !odd {
 			continue
 		}
-		nf := &FieldIndex{field: fi.field, bit: fi.bit, defined: fi.defined, odd: fi.odd, buckets: fi.buckets}
+		nf := b.field(l)
 		if odd {
 			nf.odd = append(nf.odd, e)
 		} else {
 			nf.defined = append(nf.defined, e)
 			if k, ok := nf.atomOf(d); ok {
-				nb := make(map[string][]Entry, len(nf.buckets)+1)
-				for bk, bv := range nf.buckets {
-					nb[bk] = bv
-				}
-				nb[k] = append(nb[k], e)
-				nf.buckets = nb
+				nf.buckets[k] = append(nf.buckets[k], e)
 			}
 		}
-		next.fields[l] = nf
 		touched++
 	}
 	return touched
 }
 
 // remove deletes d from its extent and every covering field index,
-// reporting entries touched. Called on a fresh clone only.
-func (next *Set) remove(d *dynamic.Dynamic) int {
+// reporting entries touched.
+func (b *builder) remove(d *dynamic.Dynamic) int {
+	next := b.next
 	in := d.Interned()
 	touched := 0
 	if ext := next.byType[in]; ext != nil {
@@ -323,33 +345,31 @@ func (next *Set) remove(d *dynamic.Dynamic) int {
 	}
 	for l, fi := range next.fields {
 		member, odd := fi.hasField(in)
-		if !member && !odd {
+		if odd {
+			if items, hit := removeEntry(fi.odd, d); hit {
+				b.field(l).odd = items
+				touched++
+			}
 			continue
 		}
-		nf := &FieldIndex{field: fi.field, bit: fi.bit, defined: fi.defined, odd: fi.odd, buckets: fi.buckets}
-		changed := false
-		if odd {
-			nf.odd, changed = removeEntry(nf.odd, d)
-		} else {
-			nf.defined, changed = removeEntry(nf.defined, d)
-			if k, ok := nf.atomOf(d); ok {
-				if items, hit := removeEntry(nf.buckets[k], d); hit {
-					nb := make(map[string][]Entry, len(nf.buckets))
-					for bk, bv := range nf.buckets {
-						nb[bk] = bv
-					}
-					if len(items) == 0 {
-						delete(nb, k)
-					} else {
-						nb[k] = items
-					}
-					nf.buckets = nb
+		if !member {
+			continue
+		}
+		items, hit := removeEntry(fi.defined, d)
+		if !hit {
+			continue
+		}
+		nf := b.field(l)
+		nf.defined = items
+		touched++
+		if k, ok := nf.atomOf(d); ok {
+			if items, hit := removeEntry(nf.buckets[k], d); hit {
+				if len(items) == 0 {
+					delete(nf.buckets, k)
+				} else {
+					nf.buckets[k] = items
 				}
 			}
-		}
-		if changed {
-			next.fields[l] = nf
-			touched++
 		}
 	}
 	return touched

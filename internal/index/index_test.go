@@ -3,6 +3,7 @@ package index
 import (
 	"fmt"
 	"math/rand"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -237,6 +238,39 @@ func TestRebuildEqualsIncremental(t *testing.T) {
 				t.Errorf("Get[%s] entry %d differs", q, i)
 			}
 		}
+	}
+}
+
+// rebuildBytes reports the bytes allocated by one Rebuild of n people
+// with distinct Name keys, indexed on Name: the least of three runs, so a
+// stray background allocation cannot inflate it.
+func rebuildBytes(n int) uint64 {
+	members := make([]*dynamic.Dynamic, n)
+	for i := range members {
+		members[i] = dynamic.Make(person(fmt.Sprintf("P%06d", i), "Austin"))
+	}
+	var least uint64
+	for run := 0; run < 3; run++ {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		Rebuild(members, Def{Field: "Name"})
+		runtime.ReadMemStats(&after)
+		if b := after.TotalAlloc - before.TotalAlloc; run == 0 || b < least {
+			least = b
+		}
+	}
+	return least
+}
+
+// TestRebuildLinearInDistinctKeys: Rebuild copies each field's bucket
+// map at most once, so four times the distinct keys costs about four
+// times the bytes. A copy per added member would cost sixteen times.
+func TestRebuildLinearInDistinctKeys(t *testing.T) {
+	const n = 500
+	small, large := rebuildBytes(n), rebuildBytes(4*n)
+	if ratio := float64(large) / float64(small); ratio > 5 {
+		t.Fatalf("Rebuild allocated %d bytes for %d keys and %d for %d: ratio %.1f, want <= 5",
+			small, n, large, 4*n, ratio)
 	}
 }
 

@@ -1,29 +1,32 @@
 // Package plan is the cost-based access-path chooser for GET subtype
-// queries and for the JOIN build/probe decision. It turns the engine's
-// three physical paths —
+// queries and for the JOIN build/probe decision. It turns the index set's
+// two physical paths —
 //
-//   - scan:   walk every member, subtype-check each (the core engine's
-//     sharded scan);
 //   - extent: union the maintained per-type extents whose type passes one
 //     cached subtype check (index.Set.GetEntries);
 //   - index:  walk a declared field index's candidate list, re-checking
 //     each candidate (index.Set.Candidates) —
 //
 // into one choice per query, made by comparing estimated costs instead of
-// fixed thresholds. The per-item cost of each path is *learned*: the
-// server feeds every executed query's latency and item count back into a
-// pair of telemetry histograms per path, and the model divides sum of
-// latency by sum of items (one Histogram.Stat call each — two atomic
-// loads, no snapshot). Until a path has enough observations the model
-// falls back to measured priors, so a cold server still plans sanely.
-// Observed selectivity (result size over database size) feeds a third
-// histogram and sizes the extent path's merge estimate.
+// fixed thresholds. There is no member-scan path: a scan subtype-checks
+// every member, while the extent path checks each distinct type once and
+// then merges the same members, so the extent path dominates it.
 //
-// The model never affects correctness: all three paths return the same
+// The per-item cost of each path is *learned*: the server feeds every
+// executed query's latency and item count back into a pair of telemetry
+// histograms per path, and the model divides sum of latency by sum of
+// items (one Histogram.Stat call each — two atomic loads, no snapshot).
+// Until a path has enough observations the model falls back to measured
+// priors, so a cold server still plans sanely. Observed selectivity
+// (result size over database size) feeds a third histogram and sizes the
+// extent path's merge estimate.
+//
+// The model never affects correctness: both paths return the same
 // members (the quick-check property tests in this package and in
-// internal/index prove it), so the worst a bad estimate can do is waste
-// time — and the feedback loop then corrects it, which is exactly what
-// EXPERIMENTS.md E16 demonstrates on the regime grid.
+// internal/index prove it against a reference member scan), so the worst
+// a bad estimate can do is waste time — and the feedback loop then
+// corrects it, which is exactly what EXPERIMENTS.md E16 demonstrates on
+// the regime grid.
 package plan
 
 import (
@@ -37,8 +40,7 @@ import (
 type Path uint8
 
 const (
-	PathScan Path = iota
-	PathExtent
+	PathExtent Path = iota
 	PathIndex
 	numPaths
 )
@@ -46,8 +48,6 @@ const (
 // String returns the path's metric label.
 func (p Path) String() string {
 	switch p {
-	case PathScan:
-		return "scan"
 	case PathExtent:
 		return "extent"
 	case PathIndex:
@@ -61,7 +61,6 @@ func (p Path) String() string {
 // the feedback loop overrides them as soon as real traffic exists, so
 // only their *ordering* has to be roughly right.
 const (
-	priorScanNs   = 40.0 // visit one member: load + cached subtype check
 	priorExtentNs = 12.0 // emit one result item from a pre-merged extent
 	priorIndexNs  = 30.0 // visit one candidate: re-check + emit
 	checkNs       = 20.0 // one cached subtype verdict (per distinct type)
@@ -93,7 +92,7 @@ type Model struct {
 // and returns the model.
 func NewModel(reg *telemetry.Registry) *Model {
 	m := &Model{}
-	for p := PathScan; p < numPaths; p++ {
+	for p := PathExtent; p < numPaths; p++ {
 		label := `{path="` + p.String() + `"}`
 		m.lat[p] = reg.Histogram("dbpl_plan_path_seconds"+label,
 			telemetry.UnitDuration, telemetry.DurationBuckets)
@@ -106,8 +105,8 @@ func NewModel(reg *telemetry.Registry) *Model {
 }
 
 // Observe feeds one executed GET back into the model: the path taken, its
-// latency, the items it handled (members visited for scan, result size
-// for extent, candidates for index), and the query's result size against
+// latency, the items it handled (result size for extent, candidates for
+// index), and the query's result size against
 // the database size (the selectivity sample).
 func (m *Model) Observe(p Path, d time.Duration, items, result, n int) {
 	if p >= numPaths {
@@ -123,7 +122,7 @@ func (m *Model) Observe(p Path, d time.Duration, items, result, n int) {
 // costPerItem returns the learned mean cost of one item on path p, or the
 // prior when observations are scarce.
 func (m *Model) costPerItem(p Path) float64 {
-	prior := [numPaths]float64{priorScanNs, priorExtentNs, priorIndexNs}[p]
+	prior := [numPaths]float64{priorExtentNs, priorIndexNs}[p]
 	if m.lat[p] == nil {
 		return prior
 	}
@@ -182,8 +181,7 @@ type GetPlan struct {
 	// The inputs and estimates behind the choice.
 	N, Types, Candidates int
 	EstSelectivity       float64
-	CostScan             float64 // estimated ns
-	CostExtent           float64
+	CostExtent           float64 // estimated ns
 	CostIndex            float64 // +Inf rendered as "-" when no index applies
 }
 
@@ -196,25 +194,16 @@ func (m *Model) PlanGet(in GetInput) GetPlan {
 		Types:          in.Types,
 		Candidates:     in.Candidates,
 		EstSelectivity: sel,
-		CostScan:       float64(in.N) * m.costPerItem(PathScan),
 		CostExtent:     float64(in.Types)*checkNs + estR*m.costPerItem(PathExtent),
 	}
 	hasIndex := in.Field != ""
 	if hasIndex {
 		p.CostIndex = float64(in.Candidates) * m.costPerItem(PathIndex)
 	}
-	// Pick the cheapest; ties prefer extent (exact, pre-merged), then
-	// index, then scan.
+	// Pick the cheaper; a tie prefers extent (exact, pre-merged).
 	p.Path = PathExtent
-	best := p.CostExtent
-	if hasIndex && p.CostIndex < best {
-		p.Path, best = PathIndex, p.CostIndex
-	}
-	if p.CostScan < best {
-		p.Path = PathScan
-	}
-	if p.Path == PathIndex {
-		p.Field = in.Field
+	if hasIndex && p.CostIndex < p.CostExtent {
+		p.Path, p.Field = PathIndex, in.Field
 	}
 	return p
 }
@@ -229,7 +218,7 @@ func costNs(c float64) string {
 
 // String renders the plan in the EXPLAIN format:
 //
-//	get path=extent n=10000 types=4 est_sel=1.0% cost{scan=400µs extent=3.1µs index=-}
+//	get path=extent n=10000 types=4 candidates=0 est_sel=1.0% cost{extent=3.1µs index=-}
 func (p GetPlan) String() string {
 	idx := "-"
 	if p.Field != "" || p.CostIndex > 0 {
@@ -239,7 +228,7 @@ func (p GetPlan) String() string {
 	if p.Field != "" {
 		field = " field=" + p.Field
 	}
-	return fmt.Sprintf("get path=%s%s n=%d types=%d candidates=%d est_sel=%.1f%% cost{scan=%s extent=%s index=%s}",
+	return fmt.Sprintf("get path=%s%s n=%d types=%d candidates=%d est_sel=%.1f%% cost{extent=%s index=%s}",
 		p.Path, field, p.N, p.Types, p.Candidates, p.EstSelectivity*100,
-		costNs(p.CostScan), costNs(p.CostExtent), idx)
+		costNs(p.CostExtent), idx)
 }

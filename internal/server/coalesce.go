@@ -1,18 +1,21 @@
-// Group commit: the commit coalescer that amortizes the fsync across
-// concurrent writers.
+// The commit pipeline: one committer goroutine that every durability mode
+// commits through, and that amortizes the fsync across concurrent writers
+// when the mode allows it.
 //
-// Under Durability=per-commit every writer serializes through commitMu
-// and pays a full fsync alone, so aggregate write throughput flatlines at
-// 1/fsync-latency no matter how many clients push. The coalescer turns
-// that queue into a batch: writers hand their commit to a dedicated
-// committer goroutine, which drains everything queued, stages each commit
-// as its own group in the store's log (StageCommit — write, no sync), and
-// promotes the whole batch with ONE shared fsync (SyncBatch). Every
-// waiter is acknowledged only after that shared durable boundary, so the
-// guarantee each writer observes is exactly per-commit durability — the
-// fsync is merely shared. While the fsync for batch N runs, the queue for
-// batch N+1 builds, which is what makes throughput scale with concurrency
-// instead of flatlining (experiment E18).
+// Writers hand their commit to the committer, which drains what is
+// queued (up to the mode's batch size), stages each commit as its own
+// group in the store's log (StageCommit — write, no sync), and promotes
+// the whole batch with ONE shared fsync (SyncBatch). Under
+// Durability=per-commit the batch size is 1: every writer pays a full
+// fsync alone, so aggregate write throughput flatlines at
+// 1/fsync-latency no matter how many clients push. Under
+// Durability=group every waiter is acknowledged only after the shared
+// durable boundary, so the guarantee each writer observes is exactly
+// per-commit durability — the fsync is merely shared. While the fsync for
+// batch N runs, the queue for batch N+1 builds, which is what makes
+// throughput scale with concurrency instead of flatlining (experiment
+// E18). Every mode records the same spans under a writer's commit span:
+// queue-wait, stage, fsync, publish.
 //
 // Failure discipline (the PR 2/4 machinery, moved to the batch): a failed
 // stage or batch fsync has already truncated the log back to the
@@ -51,8 +54,8 @@ import (
 type Durability int
 
 const (
-	// DurPerCommit: every commit group pays its own fsync before the ack —
-	// the PR 1 behavior, and the default.
+	// DurPerCommit: every commit group pays its own fsync before the ack
+	// (the committer with a batch of one). The default.
 	DurPerCommit Durability = iota
 	// DurGroup: concurrent commits are staged into one batch and promoted
 	// by one shared fsync; every waiter acks after that shared durable
@@ -110,8 +113,8 @@ type commitResult struct {
 }
 
 // committerLoop is the dedicated committer goroutine: it blocks for the
-// next queued commit, drains whatever else is already queued (up to
-// GroupMaxBatch, lingering up to GroupMaxDelay for stragglers), and
+// next queued commit, drains whatever else is already queued (up to the
+// mode's batch size, lingering up to GroupMaxDelay for stragglers), and
 // processes the batch under commitMu. It exits when commitCh closes
 // (Shutdown, after every request handler has returned), having processed
 // everything that was queued.
@@ -388,18 +391,4 @@ func (s *Server) failBatch(batch []*commitReq, results map[*commitReq]commitResu
 			results[r] = commitResult{err: err}
 		}
 	}
-}
-
-// coalescedCommit is the waiter side: enqueue and block for the result.
-// The committer goroutine does the idempotency lookup, existed
-// computation and staging under commitMu, so ordering is decided by queue
-// position exactly as it used to be by lock handoff.
-func (s *Server) coalescedCommit(ops []txnOp, key string, tr *rtrace.Trace) ([]bool, error) {
-	sp := tr.Start(0, "commit")
-	req := &commitReq{ops: ops, key: key, enqueued: time.Now(),
-		tr: tr, sp: sp, done: make(chan commitResult, 1)}
-	s.commitCh <- req
-	res := <-req.done
-	tr.End(sp)
-	return res.existed, res.err
 }

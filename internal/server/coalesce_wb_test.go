@@ -58,43 +58,69 @@ func groupCfg() Config {
 
 // TestCoalescerSharesFsync: K concurrent commits under DurGroup are
 // promoted by fewer fsyncs than commits — the amortization itself — and
-// every write is durable in the store afterwards.
+// every write is durable in the store afterwards. Under DurPerCommit the
+// same committer runs with a batch of one: every batch holds exactly one
+// group, each commit pays its own fsync, and no fsync is saved.
 func TestCoalescerSharesFsync(t *testing.T) {
-	inj := iofault.NewInjector(iofault.OS{})
-	srv, st := wbServer(t, inj, filepath.Join(t.TempDir(), "share.log"), groupCfg())
+	for _, tc := range []struct {
+		name string
+		cfg  Config
+	}{
+		{"group", groupCfg()},
+		{"per-commit", Config{Durability: DurPerCommit, GroupMaxDelay: 200 * time.Millisecond}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			inj := iofault.NewInjector(iofault.OS{})
+			srv, st := wbServer(t, inj, filepath.Join(t.TempDir(), "share.log"), tc.cfg)
 
-	const K = 8
-	syncsBefore := inj.Count(iofault.OpSync)
-	var wg sync.WaitGroup
-	errs := make([]error, K)
-	for i := 0; i < K; i++ {
-		i := i
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			_, errs[i] = srv.commit([]txnOp{putOp(fmt.Sprintf("r%d", i), int64(i))}, "", nil)
-		}()
-	}
-	wg.Wait()
-	for i, err := range errs {
-		if err != nil {
-			t.Fatalf("commit %d: %v", i, err)
-		}
-	}
-	syncs := inj.Count(iofault.OpSync) - syncsBefore
-	if syncs >= K {
-		t.Fatalf("%d commits used %d fsyncs; coalescing saved nothing", K, syncs)
-	}
-	if saved := srv.m.fsyncsSaved.Value(); saved == 0 {
-		t.Fatal("dbpl_commit_fsyncs_saved_total = 0 after a coalesced batch")
-	}
-	for i := 0; i < K; i++ {
-		if _, ok := st.Root(fmt.Sprintf("r%d", i)); !ok {
-			t.Fatalf("r%d missing from the store after an acked group commit", i)
-		}
-	}
-	if st.StagedGroups() != 0 {
-		t.Fatalf("%d groups left staged after all acks", st.StagedGroups())
+			const K = 8
+			syncsBefore := inj.Count(iofault.OpSync)
+			var wg sync.WaitGroup
+			errs := make([]error, K)
+			for i := 0; i < K; i++ {
+				i := i
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					_, errs[i] = srv.commit([]txnOp{putOp(fmt.Sprintf("r%d", i), int64(i))}, "", nil)
+				}()
+			}
+			wg.Wait()
+			for i, err := range errs {
+				if err != nil {
+					t.Fatalf("commit %d: %v", i, err)
+				}
+			}
+			syncs := inj.Count(iofault.OpSync) - syncsBefore
+			saved := srv.m.fsyncsSaved.Value()
+			batches, groups := srv.m.batchGroups.Stat()
+			if tc.cfg.Durability == DurPerCommit {
+				if syncs != K {
+					t.Fatalf("%d per-commit commits used %d fsyncs, want %d", K, syncs, K)
+				}
+				if saved != 0 {
+					t.Fatalf("dbpl_commit_fsyncs_saved_total = %d under per-commit, want 0", saved)
+				}
+				if batches != K || groups != K {
+					t.Fatalf("dbpl_commit_batch_groups: %d batches holding %d groups, want %d batches of 1", batches, groups, K)
+				}
+			} else {
+				if syncs >= K {
+					t.Fatalf("%d commits used %d fsyncs; coalescing saved nothing", K, syncs)
+				}
+				if saved == 0 {
+					t.Fatal("dbpl_commit_fsyncs_saved_total = 0 after a coalesced batch")
+				}
+			}
+			for i := 0; i < K; i++ {
+				if _, ok := st.Root(fmt.Sprintf("r%d", i)); !ok {
+					t.Fatalf("r%d missing from the store after an acked commit", i)
+				}
+			}
+			if st.StagedGroups() != 0 {
+				t.Fatalf("%d groups left staged after all acks", st.StagedGroups())
+			}
+		})
 	}
 }
 

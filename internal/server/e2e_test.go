@@ -1,8 +1,11 @@
 package server_test
 
 import (
+	"bufio"
 	"context"
 	"errors"
+	"fmt"
+	"net"
 	"path/filepath"
 	"reflect"
 	"sort"
@@ -378,5 +381,61 @@ func TestE2EPipelining(t *testing.T) {
 		if err := <-errs; err != nil {
 			t.Fatal(err)
 		}
+	}
+}
+
+// TestE2EOversizeResponseTypedError: a GET whose response exceeds the
+// server's frame limit is answered with a typed CodeTooLarge error on the
+// live connection. The client surfaces it without retrying (the query
+// ran exactly once), and the connection keeps serving requests.
+func TestE2EOversizeResponseTypedError(t *testing.T) {
+	h := bootCfg(t, filepath.Join(t.TempDir(), "oversize.log"), nil, server.Config{MaxFrame: 4096})
+	c := dial(t, h, nil)
+	pad := strings.Repeat("x", 200)
+	for i := 0; i < 40; i++ {
+		if err := c.Put(fmt.Sprintf("r%02d", i), value.Rec("Name", value.String(pad)), personT); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	_, err := c.Get(personT)
+	if !errors.Is(err, client.ErrTooLarge) {
+		t.Fatalf("oversize GET: err = %v, want client.ErrTooLarge", err)
+	}
+	if n, _ := h.srv.Telemetry().Snapshot().Counter(`dbpl_server_requests_total{op="GET"}`); n != 1 {
+		t.Fatalf(`requests_total{op="GET"} = %d, want 1 (the client must not retry)`, n)
+	}
+
+	// On one raw connection: the oversize answer is an error frame, and
+	// the same connection then answers PING.
+	conn, err := net.Dial("tcp", h.addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	conn.SetDeadline(time.Now().Add(5 * time.Second))
+	tf, err := wire.MarshalType(personT)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := bufio.NewReader(conn)
+	if err := wire.WriteFrame(conn, 0, wire.OpGet, tf); err != nil {
+		t.Fatal(err)
+	}
+	op, fields, err := wire.ReadFrame(r, 0)
+	if err != nil {
+		t.Fatalf("oversize GET on a raw connection: %v", err)
+	}
+	if op != wire.OpError || !errors.Is(wire.DecodeError(fields), wire.ErrTooLarge) {
+		t.Fatalf("oversize GET answered op %#x fields %q, want a too-large error frame", op, fields)
+	}
+	if err := wire.WriteFrame(conn, 0, wire.OpPing); err != nil {
+		t.Fatal(err)
+	}
+	if op, _, err := wire.ReadFrame(r, 0); err != nil || op != wire.OpOK {
+		t.Fatalf("PING after the oversize GET: op %#x, err %v; want OK on the same connection", op, err)
+	}
+	if n, _ := h.srv.Telemetry().Snapshot().Counter(`dbpl_server_errors_total{code="too-large"}`); n != 2 {
+		t.Errorf(`errors_total{code="too-large"} = %d, want 2`, n)
 	}
 }

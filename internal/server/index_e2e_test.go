@@ -66,7 +66,7 @@ func TestE2EIndexLifecycle(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, want := range []string{"get path=", "cost{scan=", "candidates="} {
+	for _, want := range []string{"get path=", "cost{extent=", " index=", "candidates="} {
 		if !strings.Contains(plan, want) {
 			t.Errorf("ExplainGet %q missing %q", plan, want)
 		}
@@ -197,7 +197,7 @@ func TestStatsPlannerCounters(t *testing.T) {
 		t.Fatal(err)
 	}
 	var chosen uint64
-	for _, path := range []string{"scan", "extent", "index"} {
+	for _, path := range []string{"extent", "index"} {
 		n, _ := snap.Counter(`dbpl_plan_chosen_total{path="` + path + `"}`)
 		chosen += n
 	}
@@ -221,7 +221,7 @@ func TestStatsPlannerCounters(t *testing.T) {
 	// The planner's learning loop is visible too: every executed GET
 	// observed its path latency.
 	var observed uint64
-	for _, path := range []string{"scan", "extent", "index"} {
+	for _, path := range []string{"extent", "index"} {
 		if hist, ok := snap.Histogram(`dbpl_plan_path_seconds{path="` + path + `"}`); ok {
 			observed += hist.Count
 		}

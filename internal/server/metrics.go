@@ -36,7 +36,7 @@ type serverMetrics struct {
 	idemHits *telemetry.Counter // retried writes answered from the dedup cache
 
 	commits       *telemetry.Counter   // durable commit groups published
-	commitSeconds *telemetry.Histogram // store.Commit latency (fsync-dominated)
+	commitSeconds *telemetry.Histogram // enqueue to durable publication (fsync-dominated)
 	commitOps     *telemetry.Histogram // operations per commit group
 
 	// Group commit (coalesce.go). batchGroups is the size of each
@@ -122,7 +122,7 @@ func newServerMetrics(reg *telemetry.Registry) *serverMetrics {
 		telemetry.UnitDuration, telemetry.DurationBuckets)
 	m.inflight = reg.Gauge("dbpl_server_inflight")
 	m.sessions = reg.Gauge("dbpl_server_sessions")
-	for p := plan.PathScan; int(p) < numPlanPaths; p++ {
+	for p := plan.PathExtent; int(p) < numPlanPaths; p++ {
 		m.planChosen[p] = reg.Counter(`dbpl_plan_chosen_total{path="` + p.String() + `"}`)
 	}
 	m.joinNested = reg.Counter(`dbpl_plan_join_total{path="nested"}`)
@@ -146,10 +146,10 @@ func newServerMetrics(reg *telemetry.Registry) *serverMetrics {
 		"dbpl_server_requests_total":     "requests served, by opcode",
 		"dbpl_server_request_seconds":    "request latency by opcode, admission to response write",
 		"dbpl_server_errors_total":       "error responses, by wire error code",
-		"dbpl_server_commit_seconds":     "commit latency, enqueue (or lock) to durable publication",
+		"dbpl_server_commit_seconds":     "commit latency, enqueue to durable publication",
 		"dbpl_server_commits_total":      "durable commit groups published",
 		"dbpl_commit_queue_wait_seconds": "time a commit sat queued before its batch began",
-		"dbpl_commit_sync_seconds":       "shared batch fsync latency under group commit",
+		"dbpl_commit_sync_seconds":       "batch fsync latency, shared by every group in the batch",
 		"dbpl_commit_batch_groups":       "commit groups coalesced per shared fsync",
 		"dbpl_repl_apply_delay_seconds":  "follower lag: primary commit wall-clock to local apply",
 		"dbpl_trace_total":               "traces retained in the in-memory ring",

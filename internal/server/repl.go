@@ -594,7 +594,7 @@ func (s *Server) publishDelta(delta intrinsic.GroupDelta) error {
 			}
 		}
 		if next == cur {
-			next = &state{roots: cur.roots, db: cur.db}
+			next = &state{roots: cur.roots}
 		}
 		next.idx = idx
 	}

@@ -9,17 +9,19 @@
 //
 // The server owns one intrinsic store (durability) and publishes, through
 // an atomic pointer, an immutable *state*: the committed root bindings
-// plus a sharded copy-on-write core.Database holding one dynamic per
-// root. Readers (GET, JOIN, NAMES outside a transaction) load the pointer
-// and run lock-free against that snapshot — they can never observe a
-// commit in progress, because the pointer is swapped only after the
-// store's commit group is durable. Writers buffer per session and
-// serialize through commitMu: apply the session's operations to the
-// store, store.Commit(), then publish the next state (a Fork of the
-// previous database with the delta applied). If the store commit fails,
-// store.Abort() replays the log back to the last durable group and the
-// published state is left untouched — the remote failure taxonomy
-// (wire.CodeIO / wire.CodeCorrupt) mirrors the local one.
+// plus the index.Set derived from them — one maintained extent per member
+// type and the declared field indexes, the paper's extents as a structure
+// over the database rather than a second copy of it. Readers (GET, JOIN,
+// NAMES outside a transaction) load the pointer and run lock-free against
+// that snapshot — they can never observe a commit in progress, because
+// the pointer is swapped only after the store's commit group is durable.
+// Writers buffer per session and hand each commit to one committer
+// goroutine (coalesce.go), which applies the operations to the store,
+// makes the group durable, then publishes the next state (the roots with
+// the delta applied, and the index set advanced copy-on-write). If the
+// store commit fails, store.Abort() replays the log back to the last
+// durable group and the published state is left untouched — the remote
+// failure taxonomy (wire.CodeIO / wire.CodeCorrupt) mirrors the local one.
 //
 // # Sessions and transactions
 //
@@ -54,7 +56,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"dbpl/internal/core"
 	"dbpl/internal/dynamic"
 	"dbpl/internal/index"
 	"dbpl/internal/persist/codec"
@@ -135,10 +136,11 @@ type Config struct {
 	// commit group larger than it is still shipped whole. 0 means 256KiB.
 	ReplChunk int
 	// Durability selects when a write is acknowledged relative to its
-	// fsync: DurPerCommit (default, one fsync per commit group), DurGroup
-	// (concurrent commits share one fsync, acked after it) or DurAsync
-	// (acked before the fsync; the acked-end watermark is published via
-	// HEALTH/STATS). See coalesce.go and docs/PERSISTENCE.md.
+	// fsync: DurPerCommit (default, one fsync per commit group — the
+	// committer with a batch of one), DurGroup (concurrent commits share
+	// one fsync, acked after it) or DurAsync (acked before the fsync; the
+	// acked-end watermark is published via HEALTH/STATS). See coalesce.go
+	// and docs/PERSISTENCE.md.
 	Durability Durability
 	// GroupMaxDelay is how long the committer lingers for stragglers after
 	// the first commit of a batch, under DurGroup/DurAsync. 0 (the
@@ -232,6 +234,9 @@ func (c Config) replChunk() int {
 }
 
 func (c Config) groupMaxBatch() int {
+	if c.Durability == DurPerCommit {
+		return 1
+	}
 	if c.GroupMaxBatch <= 0 {
 		return 64
 	}
@@ -265,25 +270,20 @@ func timeoutOr(d, def time.Duration) time.Duration {
 	return d
 }
 
-// state is one immutable committed view: the root bindings, the database
-// derived from them, and the maintained extents + field indexes over the
-// same membership. Published through Server.state; never mutated after
-// publication.
+// state is one immutable committed view: the root bindings and the
+// maintained extents + field indexes over the same membership. Published
+// through Server.state; never mutated after publication.
 type state struct {
 	roots map[string]*dynamic.Dynamic
-	db    *core.Database
 	idx   *index.Set
 }
 
-// apply returns the successor state with ops applied, forking the
-// database (O(shards)) and advancing the index set (COW, single
-// successor) so the previous state stays valid for readers holding it.
-// The returned stats report the index-maintenance work done.
+// apply returns the successor state with ops applied, copying the roots
+// map and advancing the index set (COW, single successor) so the previous
+// state stays valid for readers holding it. The returned stats report the
+// index-maintenance work done.
 func (st *state) apply(ops []txnOp) (*state, index.ApplyStats) {
-	next := &state{
-		roots: make(map[string]*dynamic.Dynamic, len(st.roots)+len(ops)),
-		db:    st.db.Fork(),
-	}
+	next := &state{roots: make(map[string]*dynamic.Dynamic, len(st.roots)+len(ops))}
 	for k, v := range st.roots {
 		next.roots[k] = v
 	}
@@ -291,13 +291,11 @@ func (st *state) apply(ops []txnOp) (*state, index.ApplyStats) {
 	for _, o := range ops {
 		var iop index.Op
 		if old, ok := next.roots[o.name]; ok {
-			next.db.Remove(old)
 			delete(next.roots, o.name)
 			iop.Remove = old
 		}
 		if !o.del {
 			next.roots[o.name] = o.dyn
-			next.db.Insert(o.dyn)
 			iop.Add = o.dyn
 		}
 		if iop.Remove != nil || iop.Add != nil {
@@ -323,8 +321,9 @@ type Server struct {
 
 	// state is the published committed view; see the package comment.
 	state atomic.Pointer[state]
-	// commitMu serializes writers end to end: store mutation, commit
-	// group, state publication.
+	// commitMu serializes writers end to end — store mutation, commit
+	// group, state publication — across the committer, index DDL, the
+	// follower apply, failover and Shutdown's final group.
 	commitMu sync.Mutex
 	// poisoned (guarded by commitMu) is set when a failed commit could not
 	// be rolled back: the store's in-memory state has diverged from the
@@ -393,11 +392,10 @@ type Server struct {
 	// was inferred from a replication stream, not a notification).
 	fencedBy atomic.Pointer[string]
 
-	// commitCh feeds the committer goroutine under DurGroup/DurAsync; nil
-	// under DurPerCommit (commits take the serial path). committerDone
-	// closes when the committer has drained the queue and exited;
-	// committerStop guards the close of commitCh (Shutdown may be called
-	// twice). See coalesce.go.
+	// commitCh feeds the committer goroutine, the one commit pipeline of
+	// every durability mode. committerDone closes when the committer has
+	// drained the queue and exited; committerStop guards the close of
+	// commitCh (Shutdown may be called twice). See coalesce.go.
 	commitCh      chan *commitReq
 	committerDone chan struct{}
 	committerStop sync.Once
@@ -433,7 +431,7 @@ func (s *Server) markCommit(trace uint64) {
 // *definitions* are durable), so it can never be ahead of the durable
 // state — the crash-matrix invariant.
 func stateFromStore(store *intrinsic.Store) (*state, error) {
-	st := &state{roots: map[string]*dynamic.Dynamic{}, db: core.New(core.StrategyIndexed)}
+	st := &state{roots: map[string]*dynamic.Dynamic{}}
 	var members []*dynamic.Dynamic
 	for _, name := range store.Names() {
 		r, ok := store.Root(name)
@@ -445,7 +443,6 @@ func stateFromStore(store *intrinsic.Store) (*state, error) {
 			return nil, fmt.Errorf("server: root %q does not conform to its declared type: %w", name, err)
 		}
 		st.roots[name] = d
-		st.db.Insert(d)
 		members = append(members, d)
 	}
 	defs := make([]index.Def, 0, 4)
@@ -541,15 +538,12 @@ func New(store *intrinsic.Store, cfg Config) (*Server, error) {
 		})
 		go srv.followLoop()
 	}
-	// The committer starts whenever group durability is configured — even
-	// on a follower, where it idles: a promoted follower must be able to
-	// ack coalesced writes immediately, and starting the goroutine late
-	// would race every reader of commitCh.
-	if cfg.Durability != DurPerCommit {
-		srv.commitCh = make(chan *commitReq, cfg.groupMaxBatch())
-		srv.committerDone = make(chan struct{})
-		go srv.committerLoop()
-	}
+	// The committer always starts — even on a follower, where it idles: a
+	// promoted follower must be able to ack writes immediately, and
+	// starting the goroutine late would race every reader of commitCh.
+	srv.commitCh = make(chan *commitReq, cfg.groupMaxBatch())
+	srv.committerDone = make(chan struct{})
+	go srv.committerLoop()
 	return srv, nil
 }
 
@@ -680,10 +674,8 @@ func (s *Server) Shutdown(ctx context.Context) error {
 	// Every request handler has returned (wg), so no writer can enqueue
 	// again: close the commit queue and let the committer drain what is
 	// left before the final durable boundary below.
-	if s.commitCh != nil {
-		s.committerStop.Do(func() { close(s.commitCh) })
-		<-s.committerDone
-	}
+	s.committerStop.Do(func() { close(s.commitCh) })
+	<-s.committerDone
 
 	// Final fsync: an (often empty) commit group marking the shutdown
 	// boundary durable. A poisoned write path must not append it — the
@@ -811,6 +803,22 @@ func (s *Server) serveConn(conn net.Conn) {
 			})
 		}
 		sess.tr = nil
+		frame, err := appendResponse(s.cfg.maxFrame(), respOp, respFields, traced, trace)
+		if err != nil {
+			// The response does not fit a frame. Encoding failed before
+			// any byte was written, so the connection is still in step:
+			// answer a typed error on it instead of dropping it (a dropped
+			// connection reads as lost, and the client would run the
+			// query again only to hit the same limit).
+			var we *wire.WireError
+			if !errors.As(err, &we) {
+				return
+			}
+			respOp, respFields = errResp(&wire.WireError{Code: wire.CodeTooLarge, Msg: "response: " + we.Msg})
+			if frame, err = appendResponse(s.cfg.maxFrame(), respOp, respFields, traced, trace); err != nil {
+				return
+			}
+		}
 		dur := time.Since(began)
 		// The latency exemplar is the sampled trace's ID when there is
 		// one (its span tree is in the ring), else the raw wire trace (an
@@ -847,21 +855,26 @@ func (s *Server) serveConn(conn net.Conn) {
 			forced := s.slow != nil && dur >= s.slow.Threshold()
 			s.traces.Record(tr.Data(), forced)
 		}
-		if traced {
-			// Echo the trace so the client can tie this response to its
-			// call; see docs/OBSERVABILITY.md.
-			respOp, respFields = wire.AppendTrace(respOp, trace, respFields)
-		}
 		if writeTO > 0 {
 			conn.SetWriteDeadline(time.Now().Add(writeTO))
 		}
-		if err := wire.WriteFrame(conn, s.cfg.maxFrame(), respOp, respFields...); err != nil {
+		if _, err := conn.Write(frame); err != nil {
 			return
 		}
 		if writeTO > 0 {
 			conn.SetWriteDeadline(time.Time{})
 		}
 	}
+}
+
+// appendResponse encodes one response frame. A traced request has its
+// trace echoed so the client can tie the response to its call; see
+// docs/OBSERVABILITY.md.
+func appendResponse(max int, op byte, fields [][]byte, traced bool, trace uint64) ([]byte, error) {
+	if traced {
+		return wire.AppendTracedFrame(nil, max, op, trace, fields...)
+	}
+	return wire.AppendFrame(nil, max, op, fields...)
 }
 
 // admit claims an in-flight slot, reporting false (shed) when the cap is
@@ -1095,17 +1108,17 @@ func (s *Server) handleGet(sess *session, fields [][]byte) (byte, [][]byte) {
 	if err != nil {
 		return errResp(toWireError(err))
 	}
-	var packed []core.Packed
+	var dyns []*dynamic.Dynamic
 	if sess.inTxn {
-		packed = sess.getOverlay(t)
+		dyns = sess.getOverlay(t)
 	} else {
 		// The lock-free hot path: one atomic load, then the planner-chosen
 		// physical path against that snapshot.
-		packed = s.plannedGet(sess.tr, s.state.Load(), t)
+		dyns = s.plannedGet(sess.tr, s.state.Load(), t)
 	}
-	out := make([][]byte, len(packed))
-	for i, p := range packed {
-		img, err := codec.MarshalTagged(p.Value, p.Witness)
+	out := make([][]byte, len(dyns))
+	for i, d := range dyns {
+		img, err := codec.MarshalTagged(d.Value(), d.Type())
 		if err != nil {
 			return errResp(toWireError(err))
 		}
@@ -1133,10 +1146,10 @@ func planInput(st *state, want *types.Interned) plan.GetInput {
 }
 
 // plannedGet executes one non-transactional GET through the cost-chosen
-// physical path. All three paths return the same members in insertion
-// order (the plan/index property tests); the choice only affects time,
-// and the observed time feeds back into the model.
-func (s *Server) plannedGet(tr *rtrace.Trace, st *state, t types.Type) []core.Packed {
+// physical path. Both paths return the same members in insertion order
+// (the plan/index property tests); the choice only affects time, and the
+// observed time feeds back into the model.
+func (s *Server) plannedGet(tr *rtrace.Trace, st *state, t types.Type) []*dynamic.Dynamic {
 	want := types.Intern(t)
 	psp := tr.Start(0, "plan")
 	p := s.planModel.PlanGet(planInput(st, want))
@@ -1144,43 +1157,51 @@ func (s *Server) plannedGet(tr *rtrace.Trace, st *state, t types.Type) []core.Pa
 	s.m.planChosen[p.Path].Inc()
 	esp := tr.Start(0, "exec:"+p.Path.String())
 	began := time.Now()
-	var packed []core.Packed
+	var dyns []*dynamic.Dynamic
 	items := 0
 	switch p.Path {
 	case plan.PathExtent:
 		entries, _ := st.idx.GetEntries(want)
 		items = len(entries)
-		packed = make([]core.Packed, len(entries))
+		dyns = make([]*dynamic.Dynamic, len(entries))
 		for i, e := range entries {
-			packed[i] = core.Packed{Value: e.Dyn.Value(), Witness: e.Dyn.Type()}
+			dyns[i] = e.Dyn
 		}
 	case plan.PathIndex:
 		cands, _ := st.idx.Candidates(p.Field)
 		items = len(cands)
 		for _, e := range cands {
 			if types.SubtypeInterned(e.Dyn.Interned(), want) {
-				packed = append(packed, core.Packed{Value: e.Dyn.Value(), Witness: e.Dyn.Type()})
+				dyns = append(dyns, e.Dyn)
 			}
 		}
-	default: // PathScan: the sharded COW engine
-		packed = st.db.Get(t)
-		items = p.N
 	}
 	tr.End(esp)
-	s.planModel.Observe(p.Path, time.Since(began), items, len(packed), p.N)
-	return packed
+	s.planModel.Observe(p.Path, time.Since(began), items, len(dyns), p.N)
+	return dyns
+}
+
+// extentValues is Get[t] over the snapshot's maintained extents, as
+// values in insertion order: the inputs of JOIN and EXPLAIN JOIN.
+func extentValues(st *state, t types.Type) []value.Value {
+	entries, _ := st.idx.GetEntries(types.Intern(t))
+	vals := make([]value.Value, len(entries))
+	for i, e := range entries {
+		vals[i] = e.Dyn.Value()
+	}
+	return vals
 }
 
 // getOverlay is GET inside a transaction: the pinned snapshot with the
 // session's buffered writes overlaid (read-your-writes). Results are in
 // name order; only the lock-free non-transactional path promises the
 // database's insertion order.
-func (sess *session) getOverlay(t types.Type) []core.Packed {
+func (sess *session) getOverlay(t types.Type) []*dynamic.Dynamic {
 	want := types.Intern(t)
-	var out []core.Packed
+	var out []*dynamic.Dynamic
 	for _, nd := range sess.viewBindings() {
 		if nd.dyn.IsInterned(want) {
-			out = append(out, core.Packed{Value: nd.dyn.Value(), Witness: nd.dyn.Type()})
+			out = append(out, nd.dyn)
 		}
 	}
 	return out
@@ -1250,16 +1271,16 @@ func (s *Server) handleJoin(sess *session, fields [][]byte) (byte, [][]byte) {
 	}
 	var vals1, vals2 []value.Value
 	if sess.inTxn {
-		for _, p := range sess.getOverlay(t1) {
-			vals1 = append(vals1, p.Value)
+		for _, d := range sess.getOverlay(t1) {
+			vals1 = append(vals1, d.Value())
 		}
-		for _, p := range sess.getOverlay(t2) {
-			vals2 = append(vals2, p.Value)
+		for _, d := range sess.getOverlay(t2) {
+			vals2 = append(vals2, d.Value())
 		}
 	} else {
 		st := s.state.Load()
-		vals1 = st.db.GetValues(t1)
-		vals2 = st.db.GetValues(t2)
+		vals1 = extentValues(st, t1)
+		vals2 = extentValues(st, t2)
 	}
 	r1, r2 := relation.New(vals1...), relation.New(vals2...)
 	jp := relation.PlanJoin(r1, r2)
@@ -1397,14 +1418,14 @@ func (s *Server) handleDropIndex(sess *session, fields [][]byte) (byte, [][]byte
 	return wire.OpOK, [][]byte{boolField(existed)}
 }
 
-// alterIndex is the index-DDL commit path: like commit(), it serializes
-// under commitMu, refuses on a poisoned write path, deduplicates retries
-// through the idempotency cache, makes the definition change durable in
-// its own commit group, and only then publishes the successor state (same
-// roots and database, the index set advanced). On store failure the log
-// replay in rollback() also reverts the definition — defs reload from the
-// log — so memory and disk cannot diverge. Reports whether anything
-// changed (created / existed).
+// alterIndex is the index-DDL commit path: like the committer, it
+// serializes under commitMu, refuses on a poisoned write path,
+// deduplicates retries through the idempotency cache, makes the
+// definition change durable in its own commit group, and only then
+// publishes the successor state (same roots, the index set advanced). On
+// store failure the log replay in rollback() also reverts the definition
+// — defs reload from the log — so memory and disk cannot diverge. Reports
+// whether anything changed (created / existed).
 func (s *Server) alterIndex(field string, create bool, key string) (bool, error) {
 	began := time.Now()
 	s.commitMu.Lock()
@@ -1434,7 +1455,7 @@ func (s *Server) alterIndex(field string, create bool, key string) (bool, error)
 			return false, err
 		}
 		cur := s.state.Load()
-		next := &state{roots: cur.roots, db: cur.db}
+		next := &state{roots: cur.roots}
 		if create {
 			next.idx = cur.idx.WithField(index.Def{Field: field})
 		} else {
@@ -1474,8 +1495,8 @@ func (s *Server) handleExplain(fields [][]byte) (byte, [][]byte) {
 		if err != nil {
 			return errResp(toWireError(err))
 		}
-		r1 := relation.New(st.db.GetValues(t1)...)
-		r2 := relation.New(st.db.GetValues(t2)...)
+		r1 := relation.New(extentValues(st, t1)...)
+		r2 := relation.New(extentValues(st, t2)...)
 		return wire.OpOK, [][]byte{[]byte(relation.PlanJoin(r1, r2).String())}
 	default:
 		return badReq("EXPLAIN wants 1 or 2 fields, got %d", len(fields))
@@ -1496,12 +1517,13 @@ func (sess *session) buffer(op txnOp) {
 
 // commit turns ops into one durable commit group and publishes the
 // successor state, reporting per-op whether each name existed in the
-// committed state the group was applied to (computed under commitMu, so
+// committed state the group was applied to (computed by the committer, so
 // concurrent DELETEs of one name see exactly one existed=true). Writers
-// serialize here; readers never block. On store failure the log is
-// replayed back to the last durable group and the published state is
-// untouched, so a GET during or after a failed commit still observes only
-// committed roots.
+// queue for the committer goroutine, the one commit pipeline of every
+// durability mode (coalesce.go); readers never block. On store failure
+// the log is replayed back to the last durable group and the published
+// state is untouched, so a GET during or after a failed commit still
+// observes only committed roots.
 //
 // key, when non-empty, is the client's idempotency key: if the group was
 // already applied (the acknowledgement was lost and the client retried),
@@ -1512,77 +1534,13 @@ func (s *Server) commit(ops []txnOp, key string, tr *rtrace.Trace) ([]bool, erro
 	if len(ops) == 0 {
 		return nil, nil
 	}
-	if s.commitCh != nil {
-		// DurGroup/DurAsync: hand the commit to the coalescer, which
-		// batches it with every concurrent writer's under one shared fsync
-		// (see coalesce.go). The serial path below is DurPerCommit.
-		return s.coalescedCommit(ops, key, tr)
-	}
-	began := time.Now()
-	csp := tr.Start(0, "commit")
-	defer tr.End(csp)
-	lsp := tr.Start(csp, "lock-wait")
-	s.commitMu.Lock()
-	defer s.commitMu.Unlock()
-	tr.End(lsp)
-	if s.poisoned != nil {
-		s.m.degraded.Inc()
-		return nil, &wire.WireError{Code: wire.CodeDegraded, Msg: s.poisoned.Error()}
-	}
-	// The fence decision point: a write admitted while this server was
-	// still primary, but reaching the commit decision after a fence, is
-	// refused here — a stale primary can never ack a write after its
-	// successor's promotion.
-	if r := wire.Role(s.role.Load()); r != wire.RolePrimary {
-		return nil, s.refuseWrite(r)
-	}
-	if key != "" {
-		if existed, ok := s.idem.get(key); ok {
-			s.m.idemHits.Inc()
-			return existed, nil
-		}
-	}
-	cur := s.state.Load()
-	existed := make([]bool, len(ops))
-	ssp := tr.Start(csp, "stage")
-	for i, o := range ops {
-		_, existed[i] = cur.roots[o.name]
-		if o.del {
-			s.store.Unbind(o.name)
-			continue
-		}
-		if err := s.store.Bind(o.name, o.dyn.Value(), o.dyn.Type()); err != nil {
-			s.rollback(err)
-			return nil, err
-		}
-	}
-	tr.End(ssp)
-	fsp := tr.Start(csp, "append-fsync")
-	if _, err := s.store.Commit(); err != nil {
-		s.rollback(err)
-		return nil, err
-	}
-	tr.End(fsp)
-	psp := tr.Start(csp, "publish")
-	next, istats := cur.apply(ops)
-	s.state.Store(next)
-	// Mark before the wakeup: a streamer woken by notifyCommit must see
-	// this commit's trace stamp when it ships the group.
-	s.markCommit(tr.ID())
-	s.notifyCommit()
-	tr.End(psp)
-	if key != "" {
-		s.idem.put(key, existed)
-	}
-	s.m.indexTouched.Add(uint64(istats.EntriesTouched))
-	// Commit-group instrumentation covers only durable publications; a
-	// refused or failed group shows up in the error counters instead. The
-	// latency includes the wait for commitMu — queueing behind a slow disk
-	// is exactly what the histogram should expose.
-	s.m.commits.Inc()
-	s.m.commitSeconds.ObserveDurationExemplar(time.Since(began), tr.ID())
-	s.m.commitOps.Observe(int64(len(ops)))
-	return existed, nil
+	sp := tr.Start(0, "commit")
+	req := &commitReq{ops: ops, key: key, enqueued: time.Now(),
+		tr: tr, sp: sp, done: make(chan commitResult, 1)}
+	s.commitCh <- req
+	res := <-req.done
+	tr.End(sp)
+	return res.existed, res.err
 }
 
 // rollback reverts a failed commit by replaying the log: in-memory store

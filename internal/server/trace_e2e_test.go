@@ -3,6 +3,7 @@ package server_test
 import (
 	"fmt"
 	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -41,129 +42,106 @@ func assertNested(t *testing.T, d trace.Data) {
 	}
 }
 
-// TestTraceGroupCommitSpans is the tentpole's acceptance scenario: under
-// group durability a traced PUT's tree must show the queue-wait and the
-// shared fsync as distinct, correctly nested children of its commit
-// span, with the children's total inside the parent's duration.
+// TestTraceGroupCommitSpans: every durability mode commits through the
+// one committer, so under group and per-commit durability alike a traced
+// PUT's tree must show queue-wait, stage, fsync and publish as distinct,
+// correctly nested children of its commit span, with the children's
+// total inside the parent's duration. A traced GET records its planner
+// decision and the chosen access path.
 func TestTraceGroupCommitSpans(t *testing.T) {
-	h := bootCfg(t, filepath.Join(t.TempDir(), "store.log"), nil, server.Config{
-		Durability:      server.DurGroup,
-		GroupMaxDelay:   2 * time.Millisecond,
-		TraceSampleRate: 1,
-	})
-	c := dial(t, h, nil)
+	for _, tc := range []struct {
+		name string
+		cfg  server.Config
+	}{
+		{"group", server.Config{Durability: server.DurGroup, GroupMaxDelay: 2 * time.Millisecond}},
+		{"per-commit", server.Config{Durability: server.DurPerCommit}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := tc.cfg
+			cfg.TraceSampleRate = 1
+			h := bootCfg(t, filepath.Join(t.TempDir(), "store.log"), nil, cfg)
+			c := dial(t, h, nil)
 
-	const writers = 8
-	var wg sync.WaitGroup
-	errs := make([]error, writers)
-	for i := 0; i < writers; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			errs[i] = c.Put(fmt.Sprintf("w%d", i), emp(fmt.Sprintf("W%d", i), int64(i), "Ops"), employeeT)
-		}(i)
-	}
-	wg.Wait()
-	for i, err := range errs {
-		if err != nil {
-			t.Fatalf("put %d: %v", i, err)
-		}
-	}
-
-	ds, err := c.Traces()
-	if err != nil {
-		t.Fatal(err)
-	}
-	checked := 0
-	for _, d := range ds {
-		if d.Op != "PUT" {
-			continue
-		}
-		assertNested(t, d)
-		ci := findSpan(d, "commit", 0)
-		if ci < 0 {
-			t.Fatalf("PUT trace %#x has no commit span: %+v", d.ID, d.Spans)
-		}
-		commit := d.Spans[ci]
-		var childSum time.Duration
-		for _, name := range []string{"queue-wait", "stage", "fsync", "publish"} {
-			si := findSpan(d, name, trace.SpanID(ci))
-			if si < 0 {
-				t.Fatalf("PUT trace %#x commit span lacks %q child: %+v", d.ID, name, d.Spans)
+			const writers = 8
+			var wg sync.WaitGroup
+			errs := make([]error, writers)
+			for i := 0; i < writers; i++ {
+				wg.Add(1)
+				go func(i int) {
+					defer wg.Done()
+					errs[i] = c.Put(fmt.Sprintf("w%d", i), emp(fmt.Sprintf("W%d", i), int64(i), "Ops"), employeeT)
+				}(i)
 			}
-			childSum += d.Spans[si].Dur
-		}
-		// The four phases are sequential, disjoint sub-intervals of the
-		// commit span, so their sum cannot exceed it.
-		if childSum > commit.Dur {
-			t.Errorf("trace %#x: children sum %v > commit span %v", d.ID, childSum, commit.Dur)
-		}
-		// queue-wait is the time before the batch began; the shared fsync
-		// comes strictly after it.
-		qw, fs := d.Spans[findSpan(d, "queue-wait", trace.SpanID(ci))], d.Spans[findSpan(d, "fsync", trace.SpanID(ci))]
-		if qw.Start+qw.Dur > fs.Start {
-			t.Errorf("trace %#x: queue-wait ends %v after fsync starts %v", d.ID, qw.Start+qw.Dur, fs.Start)
-		}
-		checked++
-	}
-	if checked == 0 {
-		t.Fatalf("no PUT traces retained; got %d traces", len(ds))
-	}
-}
+			wg.Wait()
+			for i, err := range errs {
+				if err != nil {
+					t.Fatalf("put %d: %v", i, err)
+				}
+			}
+			if _, err := c.Get(personT); err != nil {
+				t.Fatal(err)
+			}
 
-// TestTraceSerialCommitSpans covers the per-commit path: lock-wait,
-// stage, append-fsync and publish under the commit span.
-func TestTraceSerialCommitSpans(t *testing.T) {
-	h := bootCfg(t, filepath.Join(t.TempDir(), "store.log"), nil,
-		server.Config{TraceSampleRate: 1})
-	c := dial(t, h, nil)
-	if err := c.Put("alice", emp("Alice", 1, "Sales"), employeeT); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := c.Get(personT); err != nil {
-		t.Fatal(err)
-	}
-
-	ds, err := c.Traces()
-	if err != nil {
-		t.Fatal(err)
-	}
-	var put, get *trace.Data
-	for i := range ds {
-		switch ds[i].Op {
-		case "PUT":
-			put = &ds[i]
-		case "GET":
-			get = &ds[i]
-		}
-	}
-	if put == nil || get == nil {
-		t.Fatalf("want PUT and GET traces, got %d traces", len(ds))
-	}
-	assertNested(t, *put)
-	assertNested(t, *get)
-	ci := findSpan(*put, "commit", 0)
-	if ci < 0 {
-		t.Fatalf("PUT trace has no commit span: %+v", put.Spans)
-	}
-	for _, name := range []string{"lock-wait", "stage", "append-fsync", "publish"} {
-		if findSpan(*put, name, trace.SpanID(ci)) < 0 {
-			t.Fatalf("serial commit span lacks %q child: %+v", name, put.Spans)
-		}
-	}
-	// The read path records its planner decision and the chosen access
-	// path as spans.
-	if findSpan(*get, "plan", 0) < 0 {
-		t.Fatalf("GET trace has no plan span: %+v", get.Spans)
-	}
-	found := false
-	for _, sp := range get.Spans {
-		if len(sp.Name) > 5 && sp.Name[:5] == "exec:" {
-			found = true
-		}
-	}
-	if !found {
-		t.Fatalf("GET trace has no exec span: %+v", get.Spans)
+			ds, err := c.Traces()
+			if err != nil {
+				t.Fatal(err)
+			}
+			checked := 0
+			var get *trace.Data
+			for i, d := range ds {
+				if d.Op == "GET" {
+					get = &ds[i]
+				}
+				if d.Op != "PUT" {
+					continue
+				}
+				assertNested(t, d)
+				ci := findSpan(d, "commit", 0)
+				if ci < 0 {
+					t.Fatalf("PUT trace %#x has no commit span: %+v", d.ID, d.Spans)
+				}
+				commit := d.Spans[ci]
+				var childSum time.Duration
+				for _, name := range []string{"queue-wait", "stage", "fsync", "publish"} {
+					si := findSpan(d, name, trace.SpanID(ci))
+					if si < 0 {
+						t.Fatalf("PUT trace %#x commit span lacks %q child: %+v", d.ID, name, d.Spans)
+					}
+					childSum += d.Spans[si].Dur
+				}
+				// The four phases are sequential, disjoint sub-intervals of
+				// the commit span, so their sum cannot exceed it.
+				if childSum > commit.Dur {
+					t.Errorf("trace %#x: children sum %v > commit span %v", d.ID, childSum, commit.Dur)
+				}
+				// queue-wait is the time before the batch began; the fsync
+				// comes strictly after it.
+				qw, fs := d.Spans[findSpan(d, "queue-wait", trace.SpanID(ci))], d.Spans[findSpan(d, "fsync", trace.SpanID(ci))]
+				if qw.Start+qw.Dur > fs.Start {
+					t.Errorf("trace %#x: queue-wait ends %v after fsync starts %v", d.ID, qw.Start+qw.Dur, fs.Start)
+				}
+				checked++
+			}
+			if checked == 0 {
+				t.Fatalf("no PUT traces retained; got %d traces", len(ds))
+			}
+			if get == nil {
+				t.Fatalf("no GET trace retained; got %d traces", len(ds))
+			}
+			assertNested(t, *get)
+			if findSpan(*get, "plan", 0) < 0 {
+				t.Fatalf("GET trace has no plan span: %+v", get.Spans)
+			}
+			found := false
+			for _, sp := range get.Spans {
+				if strings.HasPrefix(sp.Name, "exec:") {
+					found = true
+				}
+			}
+			if !found {
+				t.Fatalf("GET trace has no exec span: %+v", get.Spans)
+			}
+		})
 	}
 }
 
