@@ -139,11 +139,6 @@ type Options struct {
 	// by cause, backoff sleep); nil means a fresh private registry,
 	// readable via Telemetry().
 	Registry *telemetry.Registry
-	// DisableTrace turns off the trace-ID wire extension: requests are
-	// sent untraced, byte-identical to a pre-trace client. Tracing is on
-	// by default — it costs one uvarint field per frame and lets the
-	// server's slow-op log name the exact client call that suffered.
-	DisableTrace bool
 	// Replicas lists read-only follower addresses. They do two jobs:
 	// idempotent reads (Get, Join, Names, Explain*) fan out to caught-up
 	// followers, and together with the dialed address they form the
@@ -933,9 +928,8 @@ type result struct {
 // response, and the trace ID it was stamped with so the reader can verify
 // the server's echo.
 type pendingSlot struct {
-	ch     chan result
-	trace  uint64
-	traced bool
+	ch    chan result
+	trace uint64
 }
 
 // conn is a single connection with FIFO request pipelining: writers append
@@ -945,7 +939,6 @@ type pendingSlot struct {
 type conn struct {
 	nc       net.Conn
 	maxFrame int
-	noTrace  bool
 
 	wmu  sync.Mutex // serializes {enqueue, encode, write}
 	wbuf []byte     // reused frame-encode buffer, guarded by wmu
@@ -965,7 +958,7 @@ func dialConn(addr string, o Options) (*conn, error) {
 	if err != nil {
 		return nil, err
 	}
-	c := &conn{nc: nc, maxFrame: o.maxFrame(), noTrace: o.DisableTrace}
+	c := &conn{nc: nc, maxFrame: o.maxFrame()}
 	go c.readLoop()
 	return c, nil
 }
@@ -1011,22 +1004,24 @@ func (c *conn) readLoop() {
 		slot := c.pending[0]
 		c.pending = c.pending[1:]
 		c.mu.Unlock()
-		// Strip the server's trace echo. An untraced response to a traced
-		// request is tolerated (a pre-trace server answers old-style); a
-		// response carrying a different trace than the head-of-line request
-		// means FIFO matching has desynchronized, and every answer on this
-		// connection is suspect — kill it. Both failure modes wrap
-		// ErrConnLost, so idempotent and key-stamped requests retry.
-		op, trace, fields, traced, terr := wire.SplitTrace(rawOp, rawFields)
-		if terr != nil {
-			werr := fmt.Errorf("%w: %w", ErrConnLost, terr)
-			c.fail(werr)
-			slot.ch <- result{err: werr}
-			return
+		// Strip the server's trace echo. Every request is traced, so a
+		// response without the head-of-line request's trace means FIFO
+		// matching has desynchronized, and every answer on this connection
+		// is suspect — kill it, wrapping ErrConnLost so idempotent and
+		// key-stamped requests retry. The exception is an untraced ERROR:
+		// the server sends one when it could not parse the request, then
+		// closes, so its typed error is delivered (an oversize request
+		// stays a non-retried ErrTooLarge).
+		op, trace, fields, traced, err := wire.SplitTrace(rawOp, rawFields)
+		switch {
+		case err != nil:
+		case !traced && op != wire.OpError:
+			err = fmt.Errorf("untraced %s response, request sent trace %#x", wire.OpName(op), slot.trace)
+		case traced && trace != slot.trace:
+			err = fmt.Errorf("trace mismatch: response carries %#x, request sent %#x", trace, slot.trace)
 		}
-		if slot.traced && traced && trace != slot.trace {
-			werr := fmt.Errorf("%w: trace mismatch: response carries %#x, request sent %#x",
-				ErrConnLost, trace, slot.trace)
+		if err != nil {
+			werr := fmt.Errorf("%w: %w", ErrConnLost, err)
 			c.fail(werr)
 			slot.ch <- result{err: werr}
 			return
@@ -1042,11 +1037,7 @@ func (c *conn) readLoop() {
 // next use.
 func (c *conn) roundTrip(timeout time.Duration, op byte, fields ...[]byte) (byte, [][]byte, error) {
 	ch := make(chan result, 1)
-	slot := pendingSlot{ch: ch}
-	if !c.noTrace {
-		slot.trace = nextTrace()
-		slot.traced = true
-	}
+	slot := pendingSlot{ch: ch, trace: nextTrace()}
 	var deadline time.Time
 	if timeout > 0 {
 		deadline = time.Now().Add(timeout)
@@ -1067,13 +1058,7 @@ func (c *conn) roundTrip(timeout time.Duration, op byte, fields ...[]byte) (byte
 	// EXPERIMENTS.md): AppendTracedFrame splices the trace field into the
 	// frame in place, where the old AppendTrace-then-WriteFrame pair built
 	// a fresh field slice and a fresh frame buffer per request.
-	var buf []byte
-	var err error
-	if slot.traced {
-		buf, err = wire.AppendTracedFrame(c.wbuf[:0], c.maxFrame, op, slot.trace, fields...)
-	} else {
-		buf, err = wire.AppendFrame(c.wbuf[:0], c.maxFrame, op, fields...)
-	}
+	buf, err := wire.AppendTracedFrame(c.wbuf[:0], c.maxFrame, op, slot.trace, fields...)
 	if err == nil {
 		c.wbuf = buf
 		if cap(c.wbuf) > maxRetainedWriteBuf {

@@ -32,14 +32,35 @@ func fakeServer(t testing.TB, serve func(net.Conn)) string {
 	return ln.Addr().String()
 }
 
+// readRequest reads one request frame and strips its trace, as a real
+// server does.
+func readRequest(conn net.Conn) (op byte, trace uint64, fields [][]byte, err error) {
+	rawOp, rawFields, err := wire.ReadFrame(conn, 0)
+	if err != nil {
+		return 0, 0, nil, err
+	}
+	op, trace, fields, _, err = wire.SplitTrace(rawOp, rawFields)
+	return op, trace, fields, err
+}
+
+// reply answers a request, echoing its trace ID as a real server does.
+func reply(conn net.Conn, trace uint64, op byte, fields ...[]byte) error {
+	frame, err := wire.AppendTracedFrame(nil, 0, op, trace, fields...)
+	if err == nil {
+		_, err = conn.Write(frame)
+	}
+	return err
+}
+
 // answerPings responds OK to every frame it reads, forever.
 func answerPings(conn net.Conn) {
 	defer conn.Close()
 	for {
-		if _, _, err := wire.ReadFrame(conn, 0); err != nil {
+		_, trace, _, err := readRequest(conn)
+		if err != nil {
 			return
 		}
-		if err := wire.WriteFrame(conn, 0, wire.OpOK); err != nil {
+		if err := reply(conn, trace, wire.OpOK); err != nil {
 			return
 		}
 	}
@@ -125,11 +146,12 @@ func TestUnsolicitedResponseCondemnsConn(t *testing.T) {
 	addr := fakeServer(t, func(conn net.Conn) {
 		defer conn.Close()
 		// Answer the Dial-time ping, then inject garbage.
-		if _, _, err := wire.ReadFrame(conn, 0); err != nil {
+		_, trace, _, err := readRequest(conn)
+		if err != nil {
 			return
 		}
-		wire.WriteFrame(conn, 0, wire.OpOK)
-		wire.WriteFrame(conn, 0, wire.OpOK) // unsolicited
+		reply(conn, trace, wire.OpOK)
+		reply(conn, trace, wire.OpOK) // unsolicited
 		// Hold the conn open so the client reader sees the frame.
 		time.Sleep(2 * time.Second)
 	})
@@ -161,16 +183,17 @@ func TestRemoteErrorsKeepTheTaxonomy(t *testing.T) {
 	addr := fakeServer(t, func(conn net.Conn) {
 		defer conn.Close()
 		for {
-			if _, _, err := wire.ReadFrame(conn, 0); err != nil {
+			_, trace, _, err := readRequest(conn)
+			if err != nil {
 				return
 			}
 			reqs++
 			if reqs == 2 { // the post-Dial request gets the error
-				wire.WriteFrame(conn, 0, wire.OpError,
+				reply(conn, trace, wire.OpError,
 					wire.ErrorFields(&wire.WireError{Code: wire.CodeNoRoot, Msg: "no root \"x\""})...)
 				continue
 			}
-			wire.WriteFrame(conn, 0, wire.OpOK)
+			reply(conn, trace, wire.OpOK)
 		}
 	})
 	c, err := Dial(addr, &Options{PoolSize: 1})

@@ -30,14 +30,7 @@ type recordedFrame struct {
 func (s *shedServer) serve(conn net.Conn) {
 	defer conn.Close()
 	for {
-		rawOp, rawFields, err := wire.ReadFrame(conn, 0)
-		if err != nil {
-			return
-		}
-		// Strip the trace extension like a real server would; the frames
-		// the test asserts on are the base frames. Responses go back
-		// untraced — the client must tolerate that (old-server compat).
-		op, _, fields, _, err := wire.SplitTrace(rawOp, rawFields)
+		op, trace, fields, err := readRequest(conn)
 		if err != nil {
 			return
 		}
@@ -57,13 +50,15 @@ func (s *shedServer) serve(conn net.Conn) {
 		s.mu.Unlock()
 		switch {
 		case shed:
-			err = wire.WriteFrame(conn, 0, wire.OpError,
+			err = reply(conn, trace, wire.OpError,
 				wire.ErrorFields(&wire.WireError{Code: wire.CodeOverloaded,
 					Msg: "shed", RetryAfter: hint})...)
-		case op == wire.OpDelete:
-			err = wire.WriteFrame(conn, 0, wire.OpOK, []byte{1})
+		case op == wire.OpDelete || op == wire.OpCreateIndex:
+			err = reply(conn, trace, wire.OpOK, []byte{1})
+		case op == wire.OpExplain:
+			err = reply(conn, trace, wire.OpOK, []byte("plan"))
 		default:
-			err = wire.WriteFrame(conn, 0, wire.OpOK)
+			err = reply(conn, trace, wire.OpOK)
 		}
 		if err != nil {
 			return
@@ -262,14 +257,15 @@ func TestRequestTimeoutSemanticsUnderRetry(t *testing.T) {
 		defer conn.Close()
 		first := true
 		for {
-			if _, _, err := wire.ReadFrame(conn, 0); err != nil {
+			_, trace, _, err := readRequest(conn)
+			if err != nil {
 				return
 			}
 			if !first {
 				time.Sleep(300 * time.Millisecond)
 			}
 			first = false
-			if err := wire.WriteFrame(conn, 0, wire.OpOK); err != nil {
+			if err := reply(conn, trace, wire.OpOK); err != nil {
 				return
 			}
 		}

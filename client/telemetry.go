@@ -60,8 +60,7 @@ func nextTrace() uint64 {
 type clientMetrics struct {
 	reg *telemetry.Registry
 
-	attempts      [int(wire.OpStats) + 1]*telemetry.Counter
-	attemptsOther *telemetry.Counter
+	attempts [len(wire.Ops)]*telemetry.Counter
 
 	retryOverloaded *telemetry.Counter
 	retryDeadline   *telemetry.Counter
@@ -82,14 +81,11 @@ type clientMetrics struct {
 
 func newClientMetrics(reg *telemetry.Registry) *clientMetrics {
 	m := &clientMetrics{reg: reg}
-	for _, op := range []byte{
-		wire.OpPing, wire.OpGet, wire.OpPut, wire.OpDelete, wire.OpJoin,
-		wire.OpBegin, wire.OpCommit, wire.OpAbort, wire.OpNames,
-		wire.OpHealth, wire.OpStats,
-	} {
-		m.attempts[op] = reg.Counter(`dbpl_client_attempts_total{op="` + wire.OpName(op) + `"}`)
+	for op, p := range wire.Ops {
+		if p.Name != "" {
+			m.attempts[op] = reg.Counter(`dbpl_client_attempts_total{op="` + p.Name + `"}`)
+		}
 	}
-	m.attemptsOther = reg.Counter(`dbpl_client_attempts_total{op="other"}`)
 	m.retryOverloaded = reg.Counter(`dbpl_client_retries_total{cause="overloaded"}`)
 	m.retryDeadline = reg.Counter(`dbpl_client_retries_total{cause="deadline"}`)
 	m.retryConnLost = reg.Counter(`dbpl_client_retries_total{cause="conn_lost"}`)
@@ -101,13 +97,9 @@ func newClientMetrics(reg *telemetry.Registry) *clientMetrics {
 	return m
 }
 
-func (m *clientMetrics) attempt(op byte) {
-	if int(op) < len(m.attempts) && m.attempts[op] != nil {
-		m.attempts[op].Inc()
-		return
-	}
-	m.attemptsOther.Inc()
-}
+// attempt counts one wire frame sent; the client sends only opcodes in
+// wire.Ops.
+func (m *clientMetrics) attempt(op byte) { m.attempts[op].Inc() }
 
 // retry records one retry actually taken, classified by what failed.
 func (m *clientMetrics) retry(err error) {

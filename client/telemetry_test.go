@@ -7,13 +7,14 @@ import (
 	"time"
 
 	"dbpl/internal/server/wire"
+	"dbpl/internal/types"
 	"dbpl/internal/value"
 )
 
 // TestClientMetricsCountAttemptsAndRetries: the client's own registry
 // reflects what the retry machinery did — one attempt per wire frame
-// (retries included), retries classified by cause, and the backoff sleep
-// accumulated.
+// (retries included) under the opcode's own label, retries classified by
+// cause, and the backoff sleep accumulated.
 func TestClientMetricsCountAttemptsAndRetries(t *testing.T) {
 	srv := &shedServer{sheds: 2, hint: 5 * time.Millisecond}
 	addr := fakeServer(t, srv.serve)
@@ -26,13 +27,23 @@ func TestClientMetricsCountAttemptsAndRetries(t *testing.T) {
 	if err := c.Put("k", value.Int(1), nil); err != nil {
 		t.Fatal(err)
 	}
+	if _, err := c.CreateIndex("Name"); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.ExplainGet(types.Int); err != nil {
+		t.Fatal(err)
+	}
 
 	snap := c.Telemetry().Snapshot()
-	if got, _ := snap.Counter(`dbpl_client_attempts_total{op="PUT"}`); got != 3 {
-		t.Errorf("PUT attempts = %d, want 3 (2 sheds + success)", got)
-	}
-	if got, _ := snap.Counter(`dbpl_client_attempts_total{op="PING"}`); got != 1 {
-		t.Errorf("PING attempts = %d, want 1 (Dial's liveness check)", got)
+	for label, want := range map[string]uint64{
+		"PUT":         3, // 2 sheds + success
+		"PING":        1, // Dial's liveness check
+		"CREATEINDEX": 1,
+		"EXPLAIN":     1,
+	} {
+		if got, _ := snap.Counter(`dbpl_client_attempts_total{op="` + label + `"}`); got != want {
+			t.Errorf("%s attempts = %d, want %d", label, got, want)
+		}
 	}
 	if got, _ := snap.Counter(`dbpl_client_retries_total{cause="overloaded"}`); got != 2 {
 		t.Errorf("overloaded retries = %d, want 2", got)
@@ -42,78 +53,62 @@ func TestClientMetricsCountAttemptsAndRetries(t *testing.T) {
 	}
 }
 
-// TestTraceMismatchCondemnsConn: a response echoing the WRONG trace ID
-// means the FIFO pipeline has desynchronized — the only safe move is to
-// fail the connection. The failure must classify as ErrConnLost so the
-// retry wrapper redials rather than surfacing a confusing frame error.
+// TestTraceMismatchCondemnsConn: a non-error response echoing the wrong
+// trace ID, or none, means the FIFO pipeline has desynchronized — the
+// only safe move is to fail the connection. The failure must classify as
+// ErrConnLost so the retry wrapper redials rather than surfacing a
+// confusing frame error. An untraced ERROR is the server refusing a
+// request it could not parse: its typed error is delivered, and a
+// too-large refusal is not retried.
 func TestTraceMismatchCondemnsConn(t *testing.T) {
-	addr := fakeServer(t, func(conn net.Conn) {
-		defer conn.Close()
-		for {
-			rawOp, rawFields, err := wire.ReadFrame(conn, 0)
+	for _, tc := range []struct {
+		name    string
+		respond func(conn net.Conn, trace uint64) error
+		want    error
+		retries uint64
+	}{
+		{"wrong echo", func(conn net.Conn, trace uint64) error {
+			return reply(conn, trace+1, wire.OpOK)
+		}, ErrConnLost, 2},
+		{"no echo", func(conn net.Conn, _ uint64) error {
+			return wire.WriteFrame(conn, 0, wire.OpOK)
+		}, ErrConnLost, 2},
+		{"untraced error", func(conn net.Conn, _ uint64) error {
+			return wire.WriteFrame(conn, 0, wire.OpError,
+				wire.ErrorFields(&wire.WireError{Code: wire.CodeTooLarge, Msg: "request too large"})...)
+		}, ErrTooLarge, 0},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			addr := fakeServer(t, func(conn net.Conn) {
+				defer conn.Close()
+				for {
+					op, trace, _, err := readRequest(conn)
+					if err != nil {
+						return
+					}
+					if op == wire.OpPing { // Dial must succeed
+						err = reply(conn, trace, wire.OpOK)
+					} else {
+						err = tc.respond(conn, trace)
+					}
+					if err != nil {
+						return
+					}
+				}
+			})
+			c, err := Dial(addr, &Options{PoolSize: 1, RetryPolicy: RetryPolicy{
+				MaxAttempts: 3, BaseDelay: time.Millisecond, MaxDelay: 2 * time.Millisecond}})
 			if err != nil {
-				return
+				t.Fatal(err)
 			}
-			op, trace, _, traced, err := wire.SplitTrace(rawOp, rawFields)
-			if err != nil {
-				return
-			}
-			if op == wire.OpPing || !traced {
-				// Dial must succeed; untraced echoes are tolerated anyway.
-				err = wire.WriteFrame(conn, 0, wire.OpOK)
-			} else {
-				respOp, respFields := wire.AppendTrace(wire.OpOK, trace+1, nil)
-				err = wire.WriteFrame(conn, 0, respOp, respFields...)
-			}
-			if err != nil {
-				return
-			}
-		}
-	})
-	c, err := Dial(addr, &Options{PoolSize: 1, RetryPolicy: RetryPolicy{
-		MaxAttempts: 3, BaseDelay: time.Millisecond, MaxDelay: 2 * time.Millisecond}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
+			defer c.Close()
 
-	err = c.Put("k", value.Int(1), nil)
-	if !errors.Is(err, ErrConnLost) {
-		t.Fatalf("Put against a trace-corrupting server = %v, want ErrConnLost", err)
-	}
-	if got, _ := c.Telemetry().Snapshot().Counter(`dbpl_client_retries_total{cause="conn_lost"}`); got != 2 {
-		t.Errorf("conn_lost retries = %d, want 2 (MaxAttempts-1)", got)
-	}
-}
-
-// TestDisableTraceSendsBareFrames: Options.DisableTrace turns the wire
-// extension off entirely — no flag bit, no trace field — for talking to
-// pre-extension servers that reject unknown opcodes.
-func TestDisableTraceSendsBareFrames(t *testing.T) {
-	addr := fakeServer(t, func(conn net.Conn) {
-		defer conn.Close()
-		for {
-			rawOp, _, err := wire.ReadFrame(conn, 0)
-			if err != nil {
-				return
+			if err := c.Put("k", value.Int(1), nil); !errors.Is(err, tc.want) {
+				t.Fatalf("Put = %v, want %v", err, tc.want)
 			}
-			if rawOp&wire.TraceFlag != 0 {
-				// A strict old server: unknown opcode is a protocol error.
-				wire.WriteFrame(conn, 0, wire.OpError,
-					wire.ErrorFields(&wire.WireError{Code: wire.CodeBadFrame, Msg: "unknown op"})...)
-				return
+			if got, _ := c.Telemetry().Snapshot().Counter(`dbpl_client_retries_total{cause="conn_lost"}`); got != tc.retries {
+				t.Errorf("conn_lost retries = %d, want %d", got, tc.retries)
 			}
-			if err := wire.WriteFrame(conn, 0, wire.OpOK); err != nil {
-				return
-			}
-		}
-	})
-	c, err := Dial(addr, &Options{PoolSize: 1, DisableTrace: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	if err := c.Put("k", value.Int(1), nil); err != nil {
-		t.Fatalf("Put with DisableTrace against a strict old server: %v", err)
+		})
 	}
 }

@@ -438,4 +438,57 @@ func TestE2EOversizeResponseTypedError(t *testing.T) {
 	if n, _ := h.srv.Telemetry().Snapshot().Counter(`dbpl_server_errors_total{code="too-large"}`); n != 2 {
 		t.Errorf(`errors_total{code="too-large"} = %d, want 2`, n)
 	}
+
+	// An oversize request is refused before it is parsed, so the refusal
+	// cannot echo the request's trace; the client still surfaces it as
+	// the typed error and does not retry it.
+	err = c.Put("big", value.Rec("Name", value.String(strings.Repeat("x", 8192))), personT)
+	if !errors.Is(err, client.ErrTooLarge) {
+		t.Fatalf("oversize PUT: err = %v, want client.ErrTooLarge", err)
+	}
+	if n, _ := c.Telemetry().Snapshot().Counter(`dbpl_client_attempts_total{op="PUT"}`); n != 41 {
+		t.Errorf(`client attempts_total{op="PUT"} = %d, want 41 (the oversize PUT sent once)`, n)
+	}
+}
+
+// TestE2EOpcodeTable walks every byte below the trace flag against a live
+// server: an opcode outside wire.Ops is answered with CodeUnknownOp, and
+// every request opcode in the table refuses one field more than its
+// arity with CodeBadRequest before its handler runs. The wire side of the
+// same walk is the wire package's TestOpcodeExhaustiveness.
+func TestE2EOpcodeTable(t *testing.T) {
+	h := boot(t, filepath.Join(t.TempDir(), "ops.log"))
+	conn, err := net.Dial("tcp", h.addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	conn.SetDeadline(time.Now().Add(10 * time.Second))
+	r := bufio.NewReader(conn)
+	for i, p := range wire.Ops {
+		op := byte(i)
+		if p.Stream {
+			continue // consumes the connection; DecodeReplicateReq checks its arity
+		}
+		var fields [][]byte
+		want := wire.ErrUnknownOp
+		if p.Name != "" {
+			fields = make([][]byte, p.MaxFields+1)
+			want = wire.ErrBadRequest
+		}
+		if err := wire.WriteFrame(conn, 0, op, fields...); err != nil {
+			t.Fatal(err)
+		}
+		rop, rfields, err := wire.ReadFrame(r, 0)
+		if err != nil {
+			t.Fatalf("%s: %v", wire.OpName(op), err)
+		}
+		if rop != wire.OpError || !errors.Is(wire.DecodeError(rfields), want) {
+			t.Errorf("%s with %d fields answered op %#x fields %q, want %v",
+				wire.OpName(op), len(fields), rop, rfields, want)
+		}
+	}
+	if st := h.srv.Stats(); st.Roots != 0 {
+		t.Errorf("refused requests bound %d roots", st.Roots)
+	}
 }

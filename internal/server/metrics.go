@@ -25,11 +25,11 @@ const numPlanPaths = int(plan.PathIndex) + 1
 type serverMetrics struct {
 	reg *telemetry.Registry
 
-	requests [lastKnownOp + 1]*telemetry.Counter   // per-opcode request count
-	latency  [lastKnownOp + 1]*telemetry.Histogram // per-opcode request latency
+	requests [len(wire.Ops)]*telemetry.Counter   // per-opcode request count
+	latency  [len(wire.Ops)]*telemetry.Histogram // per-opcode request latency
 	unknown  *telemetry.Counter
 
-	errors [int(lastWireCode) + 1]*telemetry.Counter // per-code error responses
+	errors [wire.NumCodes]*telemetry.Counter // per-code error responses
 
 	shed     *telemetry.Counter // admission-control refusals
 	degraded *telemetry.Counter // writes refused by the poisoned write path
@@ -75,34 +75,25 @@ type serverMetrics struct {
 
 	// replApplyDelay is the follower-side commit-to-apply lag: for each
 	// traced commit group applied, now minus the primary's commit
-	// wall-clock carried in the 6-field REPDATA form. Clock skew between
+	// wall-clock carried in the REPDATA frame. Clock skew between
 	// the two hosts leaks straight into it — it is a lag indicator, not a
 	// precision measurement; negative skew clamps to zero.
 	replApplyDelay *telemetry.Histogram
 }
 
-const lastKnownOp = int(wire.OpTraces)
-const lastWireCode = wire.CodeFenced
-
-// trackedOps are the request opcodes that get per-opcode series.
-var trackedOps = []byte{
-	wire.OpPing, wire.OpGet, wire.OpPut, wire.OpDelete, wire.OpJoin,
-	wire.OpBegin, wire.OpCommit, wire.OpAbort, wire.OpNames,
-	wire.OpHealth, wire.OpStats,
-	wire.OpCreateIndex, wire.OpDropIndex, wire.OpExplain,
-	wire.OpReplicate, wire.OpPromote, wire.OpTraces,
-}
-
 func newServerMetrics(reg *telemetry.Registry) *serverMetrics {
 	m := &serverMetrics{reg: reg}
-	for _, op := range trackedOps {
-		label := `{op="` + wire.OpName(op) + `"}`
+	for op, p := range wire.Ops {
+		if p.Name == "" {
+			continue
+		}
+		label := `{op="` + p.Name + `"}`
 		m.requests[op] = reg.Counter("dbpl_server_requests_total" + label)
 		m.latency[op] = reg.Histogram("dbpl_server_request_seconds"+label,
 			telemetry.UnitDuration, telemetry.DurationBuckets)
 	}
 	m.unknown = reg.Counter(`dbpl_server_requests_total{op="unknown"}`)
-	for code := wire.CodeBadFrame; code <= lastWireCode; code++ {
+	for code := wire.CodeBadFrame; int(code) < wire.NumCodes; code++ {
 		m.errors[code] = reg.Counter(`dbpl_server_errors_total{code="` + code.String() + `"}`)
 	}
 	m.shed = reg.Counter("dbpl_server_shed_total")
@@ -164,14 +155,14 @@ func newServerMetrics(reg *telemetry.Registry) *serverMetrics {
 // non-zero trace stamps the latency bucket's exemplar so an operator
 // can jump from a histogram outlier to the span tree that produced it.
 func (m *serverMetrics) observe(op byte, d time.Duration, respOp byte, respFields [][]byte, trace uint64) {
-	if int(op) <= lastKnownOp && m.requests[op] != nil {
+	if int(op) < len(m.requests) && m.requests[op] != nil {
 		m.requests[op].Inc()
 		m.latency[op].ObserveDurationExemplar(d, trace)
 	} else {
 		m.unknown.Inc()
 	}
 	if respOp == wire.OpError && len(respFields) > 0 && len(respFields[0]) == 1 {
-		if code := wire.Code(respFields[0][0]); code >= wire.CodeBadFrame && code <= lastWireCode {
+		if code := wire.Code(respFields[0][0]); code >= wire.CodeBadFrame && int(code) < wire.NumCodes {
 			m.errors[code].Inc()
 		}
 	}

@@ -128,15 +128,17 @@ func (s *Server) streamReplicate(conn net.Conn, fields [][]byte, writeTO time.Du
 				conn.SetWriteDeadline(time.Now().Add(writeTO))
 			}
 			// A chunk whose tail is the most recent commit carries that
-			// commit's trace ID and wall-clock in the 6-field REPDATA form,
-			// so the follower's apply span can link back to the primary's
-			// commit span and measure the shipping delay. Catch-up chunks
-			// (older history, or an untraced commit) use the 4-field form.
-			repFields := wire.ReplDataFields(from, raw, s.store.Epoch())
+			// commit's trace ID and wall-clock, so the follower's apply span
+			// can link back to the primary's commit span and measure the
+			// shipping delay. Catch-up chunks (older history, or an untraced
+			// commit) carry zeros, which the follower ignores.
+			var trace uint64
+			var commitNS int64
 			if mk := s.lastCommit.Load(); mk != nil && mk.trace != 0 && mk.end == next {
-				repFields = wire.ReplDataTraceFields(from, raw, s.store.Epoch(), mk.trace, mk.ns)
+				trace, commitNS = mk.trace, mk.ns
 			}
-			if wire.WriteFrame(conn, maxFrame, wire.OpRepData, repFields...) != nil {
+			if wire.WriteFrame(conn, maxFrame, wire.OpRepData,
+				wire.ReplDataTraceFields(from, raw, s.store.Epoch(), trace, commitNS)...) != nil {
 				return
 			}
 			from = next
@@ -459,7 +461,7 @@ func (s *Server) verifyRejoin() error {
 // under commitMu for the same reason commits do — state publication is
 // serialized — though on a follower it is the only writer.
 //
-// A 6-field frame carries the originating commit's trace ID and commit
+// A frame ending at a traced commit carries that commit's trace ID and
 // wall-clock: when the follower's sampler keeps that ID (the decision is
 // deterministic in the ID, so both ends agree), the apply gets its own
 // span tree linked to the primary's trace, and the commit-to-apply lag

@@ -757,21 +757,22 @@ func (s *Server) serveConn(conn net.Conn) {
 			wire.WriteFrame(conn, s.cfg.maxFrame(), wire.OpError, wire.ErrorFields(we)...)
 			return
 		}
+		pol, _ := wire.Policy(op)
 		// REPLICATE consumes the connection: it becomes a one-way stream of
 		// REPDATA/REPHEARTBEAT frames until the peer hangs up or we drain.
 		// Trace IDs are per-request and do not apply to a stream.
-		if op == wire.OpReplicate {
+		if pol.Stream {
 			s.streamReplicate(conn, fields, writeTO)
 			return
 		}
 		began := time.Now()
 		// Head sampling: the wire trace ID (or a server-minted one when
 		// the client did not stamp) decides whether this request records
-		// a span tree. The monitoring opcodes are never traced — HEALTH
+		// a span tree. The monitor opcodes are never traced — HEALTH
 		// polls every second on a replica set and TRACES would trace its
 		// own fetch; their span trees are noise that would churn the ring.
 		var tr *rtrace.Trace
-		if s.traces != nil && op != wire.OpHealth && op != wire.OpStats && op != wire.OpTraces {
+		if s.traces != nil && !pol.Monitor {
 			id := trace
 			if id == 0 {
 				id = rtrace.NextID()
@@ -786,10 +787,9 @@ func (s *Server) serveConn(conn net.Conn) {
 		// Admission control: a request past the in-flight cap is shed here
 		// — typed refusal with a backoff hint, nothing executed, nothing
 		// queued — so overload cannot grow the server's memory or wedge
-		// its handlers. HEALTH, STATS and TRACES bypass the gate (and are
-		// not counted): a monitor must get an answer from exactly the
-		// server that is refusing everyone else.
-		if op == wire.OpHealth || op == wire.OpStats || op == wire.OpTraces {
+		// its handlers. Monitor opcodes bypass the gate (and are not
+		// counted).
+		if pol.Monitor {
 			respOp, respFields = s.handle(sess, op, fields)
 		} else if s.admit() {
 			respOp, respFields = s.handle(sess, op, fields)
@@ -936,35 +936,37 @@ func (s *Server) handle(sess *session, op byte, fields [][]byte) (respOp byte, r
 			respFields = wire.ErrorFields(&wire.WireError{Code: wire.CodeInternal, Msg: fmt.Sprint(r)})
 		}
 	}()
-	// HEALTH, STATS and TRACES answer before the drain check: a server
-	// that is shutting down (or poisoned) reports its state instead of
-	// only refusing work.
-	if op == wire.OpHealth {
-		return s.handleHealth()
-	}
-	if op == wire.OpStats {
-		return s.handleStats(fields)
-	}
-	if op == wire.OpTraces {
-		return s.handleTraces(fields)
-	}
-	if s.draining.Load() {
-		return errResp(&wire.WireError{Code: wire.CodeShutdown, Msg: "server is draining"})
-	}
-	// A non-primary refuses every mutation by role — distinct from
-	// CodeDegraded (this server is healthy) and never retryable against
-	// this server. A follower answers CodeReadOnly naming its upstream; a
-	// fenced ex-primary answers CodeFenced naming its successor, so a
-	// misdirected client can re-aim. PROMOTE is deliberately not in the
-	// refused set: a follower is exactly what gets promoted.
-	if r := wire.Role(s.role.Load()); r != wire.RolePrimary {
-		switch op {
-		case wire.OpPut, wire.OpDelete, wire.OpBegin, wire.OpCommit,
-			wire.OpCreateIndex, wire.OpDropIndex:
+	pol, known := wire.Policy(op)
+	// Monitor opcodes answer before the drain check: a server that is
+	// shutting down (or poisoned) reports its state instead of only
+	// refusing work.
+	if !pol.Monitor {
+		if s.draining.Load() {
+			return errResp(&wire.WireError{Code: wire.CodeShutdown, Msg: "server is draining"})
+		}
+		// A non-primary refuses every mutation by role — distinct from
+		// CodeDegraded (this server is healthy) and never retryable
+		// against this server. A follower answers CodeReadOnly naming its
+		// upstream; a fenced ex-primary answers CodeFenced naming its
+		// successor, so a misdirected client can re-aim. PROMOTE is
+		// deliberately not a role-refused write: a follower is exactly
+		// what gets promoted.
+		if r := wire.Role(s.role.Load()); r != wire.RolePrimary && pol.RoleWrite {
 			return errResp(s.refuseWrite(r))
 		}
 	}
+	if known {
+		if err := pol.CheckArity(len(fields)); err != nil {
+			return errResp(toWireError(err))
+		}
+	}
 	switch op {
+	case wire.OpHealth:
+		return s.handleHealth()
+	case wire.OpStats:
+		return s.handleStats()
+	case wire.OpTraces:
+		return s.handleTraces()
 	case wire.OpPing:
 		return wire.OpOK, nil
 	case wire.OpGet:
@@ -985,9 +987,6 @@ func (s *Server) handle(sess *session, op byte, fields [][]byte) (respOp byte, r
 		sess.overlay = map[string]int{}
 		return wire.OpOK, nil
 	case wire.OpCommit:
-		if len(fields) > 1 {
-			return badReq("COMMIT wants 0 or 1 fields, got %d", len(fields))
-		}
 		if !sess.inTxn {
 			return errResp(&wire.WireError{Code: wire.CodeTxn, Msg: "COMMIT outside a transaction"})
 		}
@@ -1101,9 +1100,6 @@ func badReq(format string, args ...any) (byte, [][]byte) {
 // ---------------------------------------------------------------------------
 
 func (s *Server) handleGet(sess *session, fields [][]byte) (byte, [][]byte) {
-	if len(fields) != 1 {
-		return badReq("GET wants 1 field, got %d", len(fields))
-	}
 	t, err := wire.UnmarshalType(fields[0])
 	if err != nil {
 		return errResp(toWireError(err))
@@ -1258,9 +1254,6 @@ func (sess *session) viewNames(s *Server) []string {
 }
 
 func (s *Server) handleJoin(sess *session, fields [][]byte) (byte, [][]byte) {
-	if len(fields) != 2 {
-		return badReq("JOIN wants 2 fields, got %d", len(fields))
-	}
 	t1, err := wire.UnmarshalType(fields[0])
 	if err != nil {
 		return errResp(toWireError(err))
@@ -1307,9 +1300,6 @@ func (s *Server) handleJoin(sess *session, fields [][]byte) (byte, [][]byte) {
 // ---------------------------------------------------------------------------
 
 func (s *Server) handlePut(sess *session, fields [][]byte) (byte, [][]byte) {
-	if len(fields) != 2 && len(fields) != 3 {
-		return badReq("PUT wants 2 or 3 fields, got %d", len(fields))
-	}
 	name := string(fields[0])
 	if name == "" {
 		return badReq("PUT with empty root name")
@@ -1338,9 +1328,6 @@ func (s *Server) handlePut(sess *session, fields [][]byte) (byte, [][]byte) {
 }
 
 func (s *Server) handleDelete(sess *session, fields [][]byte) (byte, [][]byte) {
-	if len(fields) != 1 && len(fields) != 2 {
-		return badReq("DELETE wants 1 or 2 fields, got %d", len(fields))
-	}
 	name := string(fields[0])
 	op := txnOp{name: name, del: true}
 	if sess.inTxn {
@@ -1373,9 +1360,6 @@ func (s *Server) handleDelete(sess *session, fields [][]byte) (byte, [][]byte) {
 // the commit group); the contents rebuild from the roots on every open.
 // Refused inside a transaction — index DDL is not transactional.
 func (s *Server) handleCreateIndex(sess *session, fields [][]byte) (byte, [][]byte) {
-	if len(fields) != 1 && len(fields) != 2 {
-		return badReq("CREATEINDEX wants 1 or 2 fields, got %d", len(fields))
-	}
 	field := string(fields[0])
 	if field == "" {
 		return badReq("CREATEINDEX with empty field name")
@@ -1397,9 +1381,6 @@ func (s *Server) handleCreateIndex(sess *session, fields [][]byte) (byte, [][]by
 // handleDropIndex removes a field-value index declaration; the response
 // reports whether it existed.
 func (s *Server) handleDropIndex(sess *session, fields [][]byte) (byte, [][]byte) {
-	if len(fields) != 1 && len(fields) != 2 {
-		return badReq("DROPINDEX wants 1 or 2 fields, got %d", len(fields))
-	}
 	field := string(fields[0])
 	if field == "" {
 		return badReq("DROPINDEX with empty field name")
@@ -1478,29 +1459,21 @@ func (s *Server) alterIndex(field string, create bool, key string) (bool, error)
 // read — nothing executes, nothing is counted as a planner decision.
 func (s *Server) handleExplain(fields [][]byte) (byte, [][]byte) {
 	st := s.state.Load()
-	switch len(fields) {
-	case 1:
-		t, err := wire.UnmarshalType(fields[0])
-		if err != nil {
-			return errResp(toWireError(err))
-		}
-		p := s.planModel.PlanGet(planInput(st, types.Intern(t)))
-		return wire.OpOK, [][]byte{[]byte(p.String())}
-	case 2:
-		t1, err := wire.UnmarshalType(fields[0])
-		if err != nil {
-			return errResp(toWireError(err))
-		}
-		t2, err := wire.UnmarshalType(fields[1])
-		if err != nil {
-			return errResp(toWireError(err))
-		}
-		r1 := relation.New(extentValues(st, t1)...)
-		r2 := relation.New(extentValues(st, t2)...)
-		return wire.OpOK, [][]byte{[]byte(relation.PlanJoin(r1, r2).String())}
-	default:
-		return badReq("EXPLAIN wants 1 or 2 fields, got %d", len(fields))
+	t1, err := wire.UnmarshalType(fields[0])
+	if err != nil {
+		return errResp(toWireError(err))
 	}
+	if len(fields) == 1 {
+		p := s.planModel.PlanGet(planInput(st, types.Intern(t1)))
+		return wire.OpOK, [][]byte{[]byte(p.String())}
+	}
+	t2, err := wire.UnmarshalType(fields[1])
+	if err != nil {
+		return errResp(toWireError(err))
+	}
+	r1 := relation.New(extentValues(st, t1)...)
+	r2 := relation.New(extentValues(st, t2)...)
+	return wire.OpOK, [][]byte{[]byte(relation.PlanJoin(r1, r2).String())}
 }
 
 func boolField(b bool) []byte {
@@ -1758,10 +1731,7 @@ func (s *Server) handleHealth() (byte, [][]byte) {
 // Like HEALTH it takes no handler locks, bypasses admission control, and
 // answers during a drain, so the observer keeps observing exactly when
 // the server is at its most interesting.
-func (s *Server) handleStats(fields [][]byte) (byte, [][]byte) {
-	if len(fields) != 0 {
-		return badReq("STATS wants 0 fields, got %d", len(fields))
-	}
+func (s *Server) handleStats() (byte, [][]byte) {
 	snap := s.m.reg.Snapshot()
 	return wire.OpOK, [][]byte{snap.AppendBinary(nil)}
 }
@@ -1770,10 +1740,7 @@ func (s *Server) handleStats(fields [][]byte) (byte, [][]byte) {
 // field, newest first. A server running with sampling off (or with no
 // ring) answers OpOK with zero fields rather than an error — polling
 // for traces is not a fault.
-func (s *Server) handleTraces(fields [][]byte) (byte, [][]byte) {
-	if len(fields) != 0 {
-		return badReq("TRACES wants 0 fields, got %d", len(fields))
-	}
+func (s *Server) handleTraces() (byte, [][]byte) {
 	if s.traces == nil {
 		return wire.OpOK, nil
 	}

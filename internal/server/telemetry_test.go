@@ -11,7 +11,6 @@ import (
 	"testing"
 	"time"
 
-	"dbpl/client"
 	"dbpl/internal/server"
 	"dbpl/internal/server/wire"
 	"dbpl/internal/telemetry"
@@ -137,16 +136,31 @@ func TestTraceReachesSlowLog(t *testing.T) {
 		t.Errorf("PUT timestamp %v is not recent", put.Time)
 	}
 
-	// DisableTrace turns the client extension off; the entry records
-	// trace 0 rather than inventing one.
-	c2 := dial(t, h, &client.Options{DisableTrace: true})
-	if _, err := c2.Names(); err != nil {
+	// An untraced request (as a follower's REPLICATE or a fence PROMOTE
+	// is sent) is answered untraced, and its entry records trace 0 rather
+	// than inventing one.
+	raw, err := net.Dial("tcp", h.addr)
+	if err != nil {
 		t.Fatal(err)
 	}
+	defer raw.Close()
+	if err := wire.WriteFrame(raw, 0, wire.OpNames); err != nil {
+		t.Fatal(err)
+	}
+	if op, _, err := wire.ReadFrame(raw, 0); err != nil || op != wire.OpOK {
+		t.Fatalf("untraced NAMES: op=%#x err=%v, want an untraced OpOK", op, err)
+	}
+	names := 0
 	for _, op := range h.srv.SlowOps() {
-		if op.Op == "NAMES" && op.Trace != 0 {
-			t.Errorf("untraced NAMES recorded trace %#x, want 0", op.Trace)
+		if op.Op == "NAMES" {
+			names++
+			if op.Trace != 0 {
+				t.Errorf("untraced NAMES recorded trace %#x, want 0", op.Trace)
+			}
 		}
+	}
+	if names != 1 {
+		t.Errorf("slow log holds %d NAMES entries, want 1", names)
 	}
 }
 

@@ -146,7 +146,7 @@ func TestTraceGroupCommitSpans(t *testing.T) {
 }
 
 // TestTraceFollowerLink: a commit traced on the primary yields a linked
-// REPL-APPLY trace on the follower (via the 6-field REPDATA form) and a
+// REPL-APPLY trace on the follower (via the REPDATA trace field) and a
 // positive commit-to-apply delay observation.
 func TestTraceFollowerLink(t *testing.T) {
 	dir := t.TempDir()

@@ -17,11 +17,14 @@ import (
 // persist/codec/fuzz_test.go enforces for the image codec: any byte
 // stream — malformed frames, truncated length prefixes, oversize claims —
 // yields frames or a *WireError, never a panic and never an allocation
-// beyond the frame limit; and every frame that decodes re-encodes to a
-// frame that decodes identically.
+// beyond the frame limit; every frame that decodes re-encodes to a frame
+// that decodes identically; and the payload decoder of the frame's
+// opcode answers it or refuses it with a *WireError.
 func FuzzReadFrame(f *testing.F) {
-	// Seed corpus: every request shape the protocol defines, plus
-	// degenerate inputs.
+	// Seed corpus: one frame per opcode table row at its minimum and
+	// maximum arity, traced and untraced, so a new opcode is fuzzed
+	// without editing this list; then realistic payloads and degenerate
+	// inputs.
 	mustFrame := func(op byte, fields ...[]byte) []byte {
 		b, err := AppendFrame(nil, 0, op, fields...)
 		if err != nil {
@@ -39,17 +42,26 @@ func FuzzReadFrame(f *testing.F) {
 	}
 	// A client-stamped idempotency key, as Put/Delete/Commit carry it.
 	idemKey := []byte{1, 2, 3, 4, 5, 6, 7, 8, 0, 0, 0, 0, 0, 0, 0, 9}
-	f.Add(mustFrame(OpPing))
-	f.Add(mustFrame(OpHealth))
+	for i, p := range Ops {
+		if p.Name == "" {
+			continue
+		}
+		for _, n := range []int{p.MinFields, p.MaxFields} {
+			fields := make([][]byte, n)
+			for j := range fields {
+				fields[j] = UvarintField(uint64(j + 1))
+			}
+			f.Add(mustFrame(byte(i), fields...))
+			tracedOp, tracedFields := AppendTrace(byte(i), 0xFEED, fields)
+			f.Add(mustFrame(tracedOp, tracedFields...))
+		}
+	}
 	f.Add(mustFrame(OpGet, typeImg))
 	f.Add(mustFrame(OpPut, []byte("root"), tagged))
 	f.Add(mustFrame(OpPut, []byte("root"), tagged, idemKey))
-	f.Add(mustFrame(OpDelete, []byte("root")))
 	f.Add(mustFrame(OpDelete, []byte("root"), idemKey))
 	f.Add(mustFrame(OpCommit, idemKey))
-	f.Add(mustFrame(OpStats))
 	// Index administration and plan inspection.
-	f.Add(mustFrame(OpCreateIndex, []byte("Empno")))
 	f.Add(mustFrame(OpCreateIndex, []byte("Empno"), idemKey))
 	f.Add(mustFrame(OpDropIndex, []byte("Empno"), idemKey))
 	f.Add(mustFrame(OpExplain, typeImg))
@@ -67,36 +79,36 @@ func FuzzReadFrame(f *testing.F) {
 	f.Add(mustFrame(OpOK, HealthFields(Health{Poisoned: true, InFlight: 7,
 		Sessions: 2, Roots: 100, Uptime: time.Hour})...))
 	// The durable-watermark pair: acked ahead of durable (async mode), and
-	// the legacy six-field shape without AckedEnd.
+	// the retired six-field shape without AckedEnd, which must be refused.
 	f.Add(mustFrame(OpOK, HealthFields(Health{DurableEnd: 1 << 20, AckedEnd: 1<<20 + 512})...))
 	f.Add(mustFrame(OpOK, HealthFields(Health{DurableEnd: 1 << 20})[:6]...))
-	// Replication: the subscribe request and both stream frame shapes,
-	// plus damaged variants (truncated group bytes, oversize offset, bad
-	// CRC trailer) — each must decode to a *WireError, never panic.
+	// Replication: the subscribe request and the stream frame, plus
+	// damaged variants (truncated group bytes, oversize offset, bad CRC
+	// trailer) — each must decode to a *WireError, never panic.
 	f.Add(mustFrame(OpReplicate, ReplicateFields(8, 3)...))
-	f.Add(mustFrame(OpReplicate, UvarintField(8)))                                                    // legacy single-field form
+	f.Add(mustFrame(OpReplicate, UvarintField(8)))                                                    // retired single-field form
 	f.Add(mustFrame(OpReplicate, []byte{0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0x01})) // > MaxInt64
-	f.Add(mustFrame(OpRepData, ReplDataFields(8, []byte("NOTALOGGROUP"), 2)...))
+	f.Add(mustFrame(OpRepData, ReplDataTraceFields(8, []byte("NOTALOGGROUP"), 2, 0, 0)...))
 	f.Add(func() []byte { // truncated group payload invalidating the CRC
-		fields := ReplDataFields(8, []byte("group-bytes-here"), 2)
+		fields := ReplDataTraceFields(8, []byte("group-bytes-here"), 2, 0, 0)
 		fields[1] = fields[1][:4]
 		return mustFrame(OpRepData, fields...)
 	}())
 	f.Add(func() []byte { // flipped CRC trailer
-		fields := ReplDataFields(8, []byte("group-bytes-here"), 2)
-		fields[3][0] ^= 0x40
+		fields := ReplDataTraceFields(8, []byte("group-bytes-here"), 2, 0, 0)
+		fields[5][0] ^= 0x40
 		return mustFrame(OpRepData, fields...)
 	}())
 	f.Add(func() []byte { // flipped epoch field (the byte fencing trusts)
-		fields := ReplDataFields(8, []byte("group-bytes-here"), 2)
+		fields := ReplDataTraceFields(8, []byte("group-bytes-here"), 2, 0, 0)
 		fields[2][0] ^= 0x01
 		return mustFrame(OpRepData, fields...)
 	}())
 	f.Add(mustFrame(OpRepData, []byte{8}, []byte("raw"))) // missing trailer
-	// The trace-carrying six-field REPDATA form, plus damaged variants
-	// (flipped trace ID, flipped commit timestamp, truncated to five
-	// fields) — corrupt trace context must fail the CRC, never leak into
-	// a follower's apply path.
+	// A frame ending at a traced commit, plus damaged variants (flipped
+	// trace ID, flipped commit timestamp, truncated to five fields) —
+	// corrupt trace context must fail the CRC, never leak into a
+	// follower's apply path.
 	f.Add(mustFrame(OpRepData, ReplDataTraceFields(8, []byte("group-bytes-here"), 2, 0xDEADBEEF, 1<<60)...))
 	f.Add(func() []byte { // flipped trace-ID field
 		fields := ReplDataTraceFields(8, []byte("group-bytes-here"), 2, 0xDEADBEEF, 1<<60)
@@ -109,23 +121,16 @@ func FuzzReadFrame(f *testing.F) {
 		return mustFrame(OpRepData, fields...)
 	}())
 	f.Add(mustFrame(OpRepData, ReplDataTraceFields(8, []byte("group-bytes-here"), 2, 0xDEADBEEF, 1<<60)[:5]...))
-	// The TRACES opcode: empty request, a response field carrying junk
-	// that the trace decoder must reject gracefully, and a traced TRACES
-	// request (flag + trace ID on the trace-fetch itself).
-	f.Add(mustFrame(OpTraces))
+	// A TRACES response field carrying junk instead of an encoded trace.
 	f.Add(mustFrame(OpOK, []byte{'T', 1, 0xFF, 0xFF}))
-	tracesOp, tracesFields := AppendTrace(OpTraces, 0xBEEF, nil)
-	f.Add(mustFrame(tracesOp, tracesFields...))
 	f.Add(mustFrame(OpRepHeartbeat, HeartbeatFields(1<<40, 5)...))
-	f.Add(mustFrame(OpRepHeartbeat, UvarintField(64))) // legacy single-field form
+	f.Add(mustFrame(OpRepHeartbeat, UvarintField(64))) // retired single-field form
 	f.Add(mustFrame(OpRepHeartbeat))
-	// Failover: the self-promote order, the fence notification, and a
-	// malformed fence epoch.
-	f.Add(mustFrame(OpPromote))
+	// Failover: the fence notification and a malformed fence epoch.
 	f.Add(mustFrame(OpPromote, FenceFields(9, "10.0.0.2:7070")...))
 	f.Add(mustFrame(OpPromote, []byte{0xFF}, []byte("addr")))
-	// The nine-field HEALTH payload with role and epoch, and the
-	// seven-field pre-failover shape.
+	// The nine-field HEALTH payload with role and epoch, and the retired
+	// seven-field shape.
 	f.Add(mustFrame(OpOK, HealthFields(Health{ReadOnly: true, Role: RoleFenced, Epoch: 4,
 		DurableEnd: 1 << 20, AckedEnd: 1 << 20})...))
 	f.Add(mustFrame(OpOK, HealthFields(Health{DurableEnd: 1 << 20, AckedEnd: 1<<20 + 512})[:7]...))
@@ -154,6 +159,12 @@ func FuzzReadFrame(f *testing.F) {
 				}
 				return
 			}
+			if err := decodePayload(op, fields); err != nil {
+				var we *WireError
+				if !errors.As(err, &we) {
+					t.Fatalf("%s payload: unclassified decode error: %v", OpName(op), err)
+				}
+			}
 			// Decoded frames re-encode and re-decode to the same frame.
 			reenc, err := AppendFrame(nil, limit, op, fields...)
 			if err != nil {
@@ -174,4 +185,33 @@ func FuzzReadFrame(f *testing.F) {
 			}
 		}
 	})
+}
+
+// decodePayload runs the payload decoder a peer applies to a frame with
+// this opcode: the request arity check, or the response and stream
+// decoders. OK payloads are tried as HEALTH, the one typed OK payload.
+func decodePayload(op byte, fields [][]byte) error {
+	op, _, fields, _, err := SplitTrace(op, fields)
+	if err != nil {
+		return err
+	}
+	switch op {
+	case OpReplicate:
+		_, _, err = DecodeReplicateReq(fields)
+	case OpPromote:
+		_, _, _, err = DecodePromote(fields)
+	case OpRepData:
+		_, err = DecodeReplData(fields)
+	case OpRepHeartbeat:
+		_, _, err = DecodeHeartbeat(fields)
+	case OpError:
+		err = DecodeError(fields) // the remote error itself, or a decode failure
+	case OpOK:
+		_, err = DecodeHealth(fields)
+	default:
+		if p, ok := Policy(op); ok {
+			err = p.CheckArity(len(fields))
+		}
+	}
+	return err
 }

@@ -6,6 +6,8 @@ import (
 	"errors"
 	"hash/crc32"
 	"testing"
+
+	"dbpl/internal/telemetry"
 )
 
 // TestReplicateReqRoundTrip: the subscribe request carries its offset and
@@ -23,17 +25,13 @@ func TestReplicateReqRoundTrip(t *testing.T) {
 			}
 		}
 	}
-	// The pre-failover single-field form still decodes, with epoch 0.
-	got, gotEpoch, err := DecodeReplicateReq([][]byte{UvarintField(8)})
-	if err != nil || got != 8 || gotEpoch != 0 {
-		t.Fatalf("legacy REPLICATE = (%d, %d, %v), want (8, 0, nil)", got, gotEpoch, err)
-	}
 	bad := [][][]byte{
 		{},                        // no fields
 		{{1}, {2}, {3}},           // three fields
 		{{0xFF}},                  // unterminated uvarint
+		{{0xFF}, UvarintField(0)}, // unterminated offset
 		{UvarintField(8), {0xFF}}, // unterminated epoch
-		{{0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0x01}}, // > MaxInt64
+		{{0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0x01}, UvarintField(0)}, // > MaxInt64
 	}
 	for i, fields := range bad {
 		if _, _, err := DecodeReplicateReq(fields); !errors.Is(err, ErrBadRequest) {
@@ -42,11 +40,12 @@ func TestReplicateReqRoundTrip(t *testing.T) {
 	}
 }
 
-// TestReplDataRoundTrip: a REPDATA frame carries offset, raw group bytes
-// and the primary's epoch under a CRC-32C that survives encode/decode.
+// TestReplDataRoundTrip: a catch-up REPDATA frame carries offset, raw
+// group bytes and the primary's epoch, with zero trace context, under a
+// CRC-32C that survives encode/decode.
 func TestReplDataRoundTrip(t *testing.T) {
 	raw := []byte("pretend-commit-group-bytes")
-	d, err := DecodeReplData(ReplDataFields(4096, raw, 7))
+	d, err := DecodeReplData(ReplDataTraceFields(4096, raw, 7, 0, 0))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -58,14 +57,14 @@ func TestReplDataRoundTrip(t *testing.T) {
 	}
 	// Empty payload is legal (it cannot happen on a live stream, but the
 	// decoder must not care).
-	if d, err = DecodeReplData(ReplDataFields(8, nil, 0)); err != nil || len(d.Raw) != 0 {
+	if d, err = DecodeReplData(ReplDataTraceFields(8, nil, 0, 0, 0)); err != nil || len(d.Raw) != 0 {
 		t.Fatalf("empty round trip = (%q, %v)", d.Raw, err)
 	}
 }
 
-// TestReplDataTraceForm: the six-field frame carries the originating
-// commit's trace ID and publication time under the widened CRC, and a
-// flipped bit in either new field is caught.
+// TestReplDataTraceForm: the frame carries the originating commit's trace
+// ID and publication time under the CRC, and a flipped bit in either is
+// caught.
 func TestReplDataTraceForm(t *testing.T) {
 	raw := []byte("group-bytes")
 	fields := ReplDataTraceFields(4096, raw, 7, 0xabcdef, 1722222222000000000)
@@ -90,37 +89,6 @@ func TestReplDataTraceForm(t *testing.T) {
 	}
 }
 
-// TestReplDataLegacyForm: the pre-failover three-field frame (no epoch;
-// CRC over offset+raw only) still decodes, with epoch 0 — a new follower
-// can stream from an old primary.
-func TestReplDataLegacyForm(t *testing.T) {
-	modern := ReplDataFields(4096, []byte("group-bytes"), 0)
-	// Rebuild the legacy frame: offset, raw, CRC over those two alone.
-	legacy := legacyReplDataFields(4096, []byte("group-bytes"))
-	d, err := DecodeReplData(legacy)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d.Start != 4096 || string(d.Raw) != "group-bytes" || d.Epoch != 0 {
-		t.Fatalf("legacy decode = (%d, %q, %d)", d.Start, d.Raw, d.Epoch)
-	}
-	// And the modern frame is not confused for it: 4 fields decode the
-	// epoch under the wider CRC.
-	if len(modern) != 4 {
-		t.Fatalf("modern REPDATA has %d fields, want 4", len(modern))
-	}
-}
-
-// legacyReplDataFields reproduces the pre-failover encoder for
-// compatibility tests: [offset, raw, crc], CRC-32C over offset+raw.
-func legacyReplDataFields(start int64, raw []byte) [][]byte {
-	off := UvarintField(uint64(start))
-	sum := crc32.Update(crc32.Update(0, replCRCTable, off), replCRCTable, raw)
-	var tr [4]byte
-	binary.LittleEndian.PutUint32(tr[:], sum)
-	return [][]byte{off, raw, tr[:]}
-}
-
 // TestReplDataDetectsCorruption: any bit flip — in the offset, the
 // payload, the epoch, or the trailer itself — fails the checksum with
 // CodeCorrupt, which tells the follower to drop the link and resubscribe
@@ -135,9 +103,9 @@ func TestReplDataDetectsCorruption(t *testing.T) {
 		{"offset", 0, 0x01},
 		{"payload", 1, 0x80},
 		{"epoch", 2, 0x01},
-		{"trailer", 3, 0x10},
+		{"trailer", 5, 0x10},
 	} {
-		fields := ReplDataFields(4096, raw, 99)
+		fields := ReplDataTraceFields(4096, raw, 99, 0, 0)
 		fields[flip.field] = append([]byte(nil), fields[flip.field]...)
 		fields[flip.field][0] ^= flip.bit
 		_, err := DecodeReplData(fields)
@@ -154,16 +122,17 @@ func TestReplDataDetectsCorruption(t *testing.T) {
 // TestReplDataMalformed: structurally damaged frames are CodeBadFrame,
 // never a panic.
 func TestReplDataMalformed(t *testing.T) {
-	good := ReplDataFields(8, []byte("raw"), 1)
-	traced := ReplDataTraceFields(8, []byte("raw"), 1, 2, 3)
+	g := ReplDataTraceFields(8, []byte("raw"), 1, 2, 3)
 	bad := [][][]byte{
-		{},                                  // no fields
-		good[:2],                            // missing epoch and trailer
-		{good[0], good[1], good[2], {1}},    // short trailer
-		{{0xFF}, good[1], good[2], good[3]}, // unterminated offset
-		{{0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0x01}, good[1], good[2], good[3]}, // oversize offset
-		traced[:5], // five fields is no generation of the frame
-		{traced[0], traced[1], traced[2], {0xFF}, traced[4], traced[5]}, // unterminated trace ID
+		{},                                     // no fields
+		g[:2],                                  // missing everything after the payload
+		g[:5],                                  // missing trailer
+		{g[0], g[1], g[2], g[3], g[4], {1}},    // short trailer
+		{{0xFF}, g[1], g[2], g[3], g[4], g[5]}, // unterminated offset
+		{{0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0x01}, g[1], g[2], g[3], g[4], g[5]}, // oversize offset
+		{g[0], g[1], {0xFF}, g[3], g[4], g[5]},                                                       // unterminated epoch
+		{g[0], g[1], g[2], {0xFF}, g[4], g[5]},                                                       // unterminated trace ID
+		{g[0], g[1], g[2], g[3], {0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0x01}, g[5]}, // oversize commit time
 	}
 	for i, fields := range bad {
 		if _, err := DecodeReplData(fields); !errors.Is(err, ErrBadFrame) {
@@ -173,17 +142,13 @@ func TestReplDataMalformed(t *testing.T) {
 }
 
 // TestHeartbeatRoundTrip: the keepalive carries the primary's durable end
-// and epoch; the legacy single-field form implies epoch 0.
+// and epoch.
 func TestHeartbeatRoundTrip(t *testing.T) {
 	got, epoch, err := DecodeHeartbeat(HeartbeatFields(1<<40, 12))
 	if err != nil || got != 1<<40 || epoch != 12 {
 		t.Fatalf("heartbeat round trip = (%d, %d, %v)", got, epoch, err)
 	}
-	got, epoch, err = DecodeHeartbeat([][]byte{UvarintField(64)})
-	if err != nil || got != 64 || epoch != 0 {
-		t.Fatalf("legacy heartbeat = (%d, %d, %v), want (64, 0, nil)", got, epoch, err)
-	}
-	for i, fields := range [][][]byte{{}, {{0xFF}}, {{1}, {2}, {3}}, {UvarintField(1), {0xFF}}} {
+	for i, fields := range [][][]byte{{}, {{0xFF}, {1}}, {{1}, {2}, {3}}, {UvarintField(1), {0xFF}}} {
 		if _, _, err := DecodeHeartbeat(fields); !errors.Is(err, ErrBadFrame) {
 			t.Errorf("malformed heartbeat %d decoded to %v, want ErrBadFrame", i, err)
 		}
@@ -230,32 +195,48 @@ func TestHealthCarriesReplicationFields(t *testing.T) {
 	}
 }
 
-// TestHealthLegacyForms: six-field (pre-group-commit) and seven-field
-// (pre-failover) HEALTH payloads still decode; the role is derived from
-// the ReadOnly flag and the epoch defaults to 0.
-func TestHealthLegacyForms(t *testing.T) {
-	full := HealthFields(Health{
-		ReadOnly: true, InFlight: 1, Sessions: 2, Roots: 3,
-		Uptime: 4, DurableEnd: 500, AckedEnd: 600,
-	})
-	got7, err := DecodeHealth(full[:7])
-	if err != nil {
-		t.Fatal(err)
+// TestRetiredShapesRejected: every message has one accepted shape. The
+// shorter forms decoders once accepted for peers that never shipped — the
+// 6- and 7-field HEALTH, the 3- and 4-field REPDATA (each with a valid
+// checksum), single-field REPLICATE and REPHEARTBEAT, and the version-1
+// STATS snapshot — are refused with a typed error, never a panic.
+func TestRetiredShapesRejected(t *testing.T) {
+	health := HealthFields(Health{ReadOnly: true, DurableEnd: 500, AckedEnd: 600})
+	off, raw, ep := UvarintField(4096), []byte("group-bytes"), UvarintField(7)
+	withCRC := func(fields ...[]byte) [][]byte {
+		var sum uint32
+		for _, f := range fields {
+			sum = crc32.Update(sum, replCRCTable, f)
+		}
+		return append(fields, binary.LittleEndian.AppendUint32(nil, sum))
 	}
-	if got7.Role != RoleFollower || got7.Epoch != 0 || got7.AckedEnd != 600 {
-		t.Fatalf("7-field decode = %+v", got7)
-	}
-	got6, err := DecodeHealth(full[:6])
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got6.AckedEnd != got6.DurableEnd || got6.Role != RoleFollower {
-		t.Fatalf("6-field decode = %+v", got6)
-	}
-	// A writable primary's legacy payload derives RolePrimary.
-	writable := HealthFields(Health{Roots: 1})
-	gotW, err := DecodeHealth(writable[:7])
-	if err != nil || gotW.Role != RolePrimary {
-		t.Fatalf("legacy writable decode = (%+v, %v)", gotW, err)
+	// A registry without histograms encodes identically in both snapshot
+	// versions but for the version byte.
+	reg := telemetry.NewRegistry()
+	reg.Counter("c").Add(3)
+	snapV1 := reg.Snapshot().AppendBinary(nil)
+	snapV1[1] = 1
+
+	for _, tc := range []struct {
+		name   string
+		decode func() error
+		want   error
+	}{
+		{"HEALTH 6 fields", func() error { _, err := DecodeHealth(health[:6]); return err }, ErrBadFrame},
+		{"HEALTH 7 fields", func() error { _, err := DecodeHealth(health[:7]); return err }, ErrBadFrame},
+		{"REPDATA 3 fields", func() error { _, err := DecodeReplData(withCRC(off, raw)); return err }, ErrBadFrame},
+		{"REPDATA 4 fields", func() error { _, err := DecodeReplData(withCRC(off, raw, ep)); return err }, ErrBadFrame},
+		{"REPLICATE 1 field", func() error { _, _, err := DecodeReplicateReq([][]byte{off}); return err }, ErrBadRequest},
+		{"REPHEARTBEAT 1 field", func() error { _, _, err := DecodeHeartbeat([][]byte{off}); return err }, ErrBadFrame},
+		{"STATS snapshot v1", func() error { _, err := telemetry.UnmarshalSnapshot(snapV1); return err }, telemetry.ErrBadSnapshot},
+	} {
+		err := tc.decode()
+		if !errors.Is(err, tc.want) {
+			t.Errorf("%s: err = %v, want %v", tc.name, err, tc.want)
+		}
+		var we *WireError
+		if tc.want != telemetry.ErrBadSnapshot && !errors.As(err, &we) {
+			t.Errorf("%s: %T is not a *WireError", tc.name, err)
+		}
 	}
 }

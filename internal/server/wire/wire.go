@@ -31,6 +31,7 @@ import (
 	"hash/crc32"
 	"io"
 	"math"
+	"strconv"
 	"time"
 
 	"dbpl/internal/persist/codec"
@@ -66,10 +67,10 @@ const (
 	OpCreateIndex byte = 0x0C // [field, id?]              -> OK [created(1)]
 	OpDropIndex   byte = 0x0D // [field, id?]              -> OK [existed(1)]
 	OpExplain     byte = 0x0E // [type-image(, type-image)] -> OK [plan-text]
-	// OpReplicate subscribes the connection to the primary's log: [from]
-	// (uvarint durable offset) plus an optional second field, the
-	// subscriber's promotion epoch — a server seeing a subscriber with a
-	// higher epoch than its own has been superseded and fences itself.
+	// OpReplicate subscribes the connection to the primary's log:
+	// [from, epoch], the uvarint durable offset and the subscriber's
+	// promotion epoch — a server seeing a subscriber with a higher epoch
+	// than its own has been superseded and fences itself.
 	// The server answers with an open-ended stream of OpRepData /
 	// OpRepHeartbeat frames instead of a single response; the connection
 	// carries nothing else afterwards.
@@ -91,36 +92,107 @@ const (
 	OpTraces byte = 0x11
 )
 
-// lastRequestOp is the highest assigned request opcode. The opcode
-// exhaustiveness test walks [OpPing, lastRequestOp]; update it when
-// appending an opcode. Request opcodes must stay below TraceFlag.
-const lastRequestOp = OpTraces
-
 // Response opcodes. OpRepData and OpRepHeartbeat are the replication
 // stream (see OpReplicate): REPDATA carries whole commit groups as raw log
-// bytes [startOffset, raw, crc32c], where the 4-byte little-endian CRC-32C
-// trailer covers the offset field followed by the raw bytes — so a flipped
-// bit anywhere in the frame (offset or payload) is detected before the
-// follower touches its log. REPHEARTBEAT is the idle keepalive
-// [durableEnd], letting a follower distinguish a quiet primary from a dead
-// link and track lag while fully caught up.
+// bytes [startOffset, raw, epoch, trace, commitNS, crc32c], where the
+// 4-byte little-endian CRC-32C trailer covers every preceding field — so a
+// flipped bit anywhere in the frame is detected before the follower
+// touches its log. REPHEARTBEAT is the idle keepalive [durableEnd, epoch],
+// letting a follower distinguish a quiet primary from a dead link and
+// track lag while fully caught up.
 const (
 	OpOK           byte = 0x80
 	OpValues       byte = 0x81
-	OpError        byte = 0x82 // [code(1), message]
-	OpRepData      byte = 0x83 // [startOffset, rawGroups, crc32c(4)]
-	OpRepHeartbeat byte = 0x84 // [durableEnd]
+	OpError        byte = 0x82 // [code(1), message, retryAfter?]
+	OpRepData      byte = 0x83 // [startOffset, rawGroups, epoch, trace, commitNS, crc32c(4)]
+	OpRepHeartbeat byte = 0x84 // [durableEnd, epoch]
 )
 
 // TraceFlag marks a *traced* frame in either direction: the opcode byte
 // has this bit set and the first field is a uvarint trace ID. A client
-// stamps requests with trace IDs so the server can attribute slow-op log
-// entries to the exact client call that suffered them; the server echoes
-// the ID (and the flag) on the response. The extension is optional and
-// backward compatible — an untraced frame is byte-identical to the
-// pre-trace protocol, and request opcodes (< 0x40) and response opcodes
-// (0x80–0xBF) never collide with the flag.
+// stamps every request with a trace ID so the server can attribute
+// slow-op log entries to the exact client call that suffered them; the
+// server echoes the ID (and the flag) on the response. Request opcodes
+// (< 0x40) and response opcodes (0x80–0xBF) never collide with the flag.
+// The server still answers untraced requests untraced: a follower's
+// REPLICATE and the fence PROMOTE are sent without a trace.
 const TraceFlag byte = 0x40
+
+// OpPolicy is one request opcode's row in Ops: every per-opcode decision
+// the server and the client make.
+type OpPolicy struct {
+	// Name labels the opcode in logs, metric series and the slow-op ring.
+	Name string
+	// Monitor opcodes bypass admission control, are never traced, and are
+	// answered while the server drains or its write path is poisoned: a
+	// monitor must get an answer from exactly the server that is refusing
+	// everyone else.
+	Monitor bool
+	// RoleWrite opcodes mutate the store; a follower refuses them with
+	// CodeReadOnly and a fenced ex-primary with CodeFenced.
+	RoleWrite bool
+	// Stream opcodes turn the connection into a one-way stream of frames
+	// instead of one response.
+	Stream bool
+	// MinFields and MaxFields bound the request's field count, the trace
+	// field excluded.
+	MinFields, MaxFields int
+}
+
+// Ops is the request opcode table, indexed by opcode; a row with an empty
+// Name is an unassigned opcode. The array bound keeps every request
+// opcode below TraceFlag at compile time.
+var Ops = [TraceFlag]OpPolicy{
+	OpPing:        {Name: "PING"},
+	OpGet:         {Name: "GET", MinFields: 1, MaxFields: 1},
+	OpPut:         {Name: "PUT", RoleWrite: true, MinFields: 2, MaxFields: 3},
+	OpDelete:      {Name: "DELETE", RoleWrite: true, MinFields: 1, MaxFields: 2},
+	OpJoin:        {Name: "JOIN", MinFields: 2, MaxFields: 2},
+	OpBegin:       {Name: "BEGIN", RoleWrite: true},
+	OpCommit:      {Name: "COMMIT", RoleWrite: true, MaxFields: 1},
+	OpAbort:       {Name: "ABORT"},
+	OpNames:       {Name: "NAMES"},
+	OpHealth:      {Name: "HEALTH", Monitor: true},
+	OpStats:       {Name: "STATS", Monitor: true},
+	OpCreateIndex: {Name: "CREATEINDEX", RoleWrite: true, MinFields: 1, MaxFields: 2},
+	OpDropIndex:   {Name: "DROPINDEX", RoleWrite: true, MinFields: 1, MaxFields: 2},
+	OpExplain:     {Name: "EXPLAIN", MinFields: 1, MaxFields: 2},
+	OpReplicate:   {Name: "REPLICATE", Stream: true, MinFields: 2, MaxFields: 2},
+	// PROMOTE takes 0 or 2 fields; DecodePromote refuses 1.
+	OpPromote: {Name: "PROMOTE", MaxFields: 2},
+	OpTraces:  {Name: "TRACES", Monitor: true},
+}
+
+// Policy returns op's row in Ops and whether op is an assigned request
+// opcode.
+func Policy(op byte) (OpPolicy, bool) {
+	if op >= TraceFlag {
+		return OpPolicy{}, false
+	}
+	return Ops[op], Ops[op].Name != ""
+}
+
+// CheckArity refuses, with CodeBadRequest, a request carrying n fields
+// when the opcode takes fewer or more.
+func (p OpPolicy) CheckArity(n int) error {
+	if n >= p.MinFields && n <= p.MaxFields {
+		return nil
+	}
+	want := strconv.Itoa(p.MinFields)
+	switch {
+	case p.MaxFields == p.MinFields+1:
+		want += " or " + strconv.Itoa(p.MaxFields)
+	case p.MaxFields > p.MinFields:
+		want += " to " + strconv.Itoa(p.MaxFields)
+	}
+	return errf(CodeBadRequest, "%s wants %s fields, got %d", p.Name, want, n)
+}
+
+// responseNames names the response opcodes.
+var responseNames = map[byte]string{
+	OpOK: "OK", OpValues: "VALUES", OpError: "ERROR",
+	OpRepData: "REPDATA", OpRepHeartbeat: "REPHEARTBEAT",
+}
 
 // OpName names a request or response opcode for logs, metrics and the
 // slow-op ring; a traced opcode names the same as its base. Unknown
@@ -128,54 +200,14 @@ const TraceFlag byte = 0x40
 // must not feed them unvalidated peer opcodes, or a hostile peer could
 // mint unbounded label cardinality.
 func OpName(op byte) string {
-	switch op &^ TraceFlag {
-	case OpPing:
-		return "PING"
-	case OpGet:
-		return "GET"
-	case OpPut:
-		return "PUT"
-	case OpDelete:
-		return "DELETE"
-	case OpJoin:
-		return "JOIN"
-	case OpBegin:
-		return "BEGIN"
-	case OpCommit:
-		return "COMMIT"
-	case OpAbort:
-		return "ABORT"
-	case OpNames:
-		return "NAMES"
-	case OpHealth:
-		return "HEALTH"
-	case OpStats:
-		return "STATS"
-	case OpCreateIndex:
-		return "CREATEINDEX"
-	case OpDropIndex:
-		return "DROPINDEX"
-	case OpExplain:
-		return "EXPLAIN"
-	case OpReplicate:
-		return "REPLICATE"
-	case OpPromote:
-		return "PROMOTE"
-	case OpTraces:
-		return "TRACES"
-	case OpOK:
-		return "OK"
-	case OpValues:
-		return "VALUES"
-	case OpError:
-		return "ERROR"
-	case OpRepData:
-		return "REPDATA"
-	case OpRepHeartbeat:
-		return "REPHEARTBEAT"
-	default:
-		return fmt.Sprintf("op(%#x)", op)
+	base := op &^ TraceFlag
+	if p, ok := Policy(base); ok {
+		return p.Name
 	}
+	if name, ok := responseNames[base]; ok {
+		return name
+	}
+	return fmt.Sprintf("op(%#x)", op)
 }
 
 // AppendTrace turns an untraced frame into a traced one: sets the flag
@@ -259,10 +291,6 @@ const (
 	CodeFenced
 )
 
-// lastCode is the highest assigned code. The exhaustiveness test walks
-// [CodeBadFrame, lastCode]; update it when appending a code.
-const lastCode = CodeFenced
-
 // Per-code sentinels; a *WireError unwraps to the sentinel of its code so
 // clients dispatch with errors.Is.
 var (
@@ -284,82 +312,49 @@ var (
 	ErrFenced        = errors.New("wire: server is fenced: a higher promotion epoch exists")
 )
 
-// String names the code.
-func (c Code) String() string {
-	switch c {
-	case CodeBadFrame:
-		return "bad-frame"
-	case CodeTooLarge:
-		return "too-large"
-	case CodeUnknownOp:
-		return "unknown-op"
-	case CodeBadRequest:
-		return "bad-request"
-	case CodeNoRoot:
-		return "no-root"
-	case CodeNotConforming:
-		return "not-conforming"
-	case CodeInconsistent:
-		return "inconsistent"
-	case CodeTxn:
-		return "txn"
-	case CodeIO:
-		return "io"
-	case CodeCorrupt:
-		return "corrupt"
-	case CodeShutdown:
-		return "shutdown"
-	case CodeInternal:
-		return "internal"
-	case CodeOverloaded:
-		return "overloaded"
-	case CodeDegraded:
-		return "degraded"
-	case CodeReadOnly:
-		return "read-only"
-	case CodeFenced:
-		return "fenced"
-	default:
-		return fmt.Sprintf("code(%d)", byte(c))
-	}
+// codes is the error code table, indexed by code: each code's name and
+// sentinel. Index 0 is unassigned.
+var codes = [...]struct {
+	name     string
+	sentinel error
+}{
+	CodeBadFrame:      {"bad-frame", ErrBadFrame},
+	CodeTooLarge:      {"too-large", ErrTooLarge},
+	CodeUnknownOp:     {"unknown-op", ErrUnknownOp},
+	CodeBadRequest:    {"bad-request", ErrBadRequest},
+	CodeNoRoot:        {"no-root", ErrNoRoot},
+	CodeNotConforming: {"not-conforming", ErrNotConforming},
+	CodeInconsistent:  {"inconsistent", ErrInconsistent},
+	CodeTxn:           {"txn", ErrTxn},
+	CodeIO:            {"io", ErrRemoteIO},
+	CodeCorrupt:       {"corrupt", ErrRemoteCorrupt},
+	CodeShutdown:      {"shutdown", ErrShutdown},
+	CodeInternal:      {"internal", ErrInternal},
+	CodeOverloaded:    {"overloaded", ErrOverloaded},
+	CodeDegraded:      {"degraded", ErrDegraded},
+	CodeReadOnly:      {"read-only", ErrReadOnly},
+	CodeFenced:        {"fenced", ErrFenced},
 }
 
-// Sentinel returns the errors.Is target for the code.
-func (c Code) Sentinel() error {
-	switch c {
-	case CodeBadFrame:
-		return ErrBadFrame
-	case CodeTooLarge:
-		return ErrTooLarge
-	case CodeUnknownOp:
-		return ErrUnknownOp
-	case CodeBadRequest:
-		return ErrBadRequest
-	case CodeNoRoot:
-		return ErrNoRoot
-	case CodeNotConforming:
-		return ErrNotConforming
-	case CodeInconsistent:
-		return ErrInconsistent
-	case CodeTxn:
-		return ErrTxn
-	case CodeIO:
-		return ErrRemoteIO
-	case CodeCorrupt:
-		return ErrRemoteCorrupt
-	case CodeShutdown:
-		return ErrShutdown
-	case CodeOverloaded:
-		return ErrOverloaded
-	case CodeDegraded:
-		return ErrDegraded
-	case CodeReadOnly:
-		return ErrReadOnly
-	case CodeFenced:
-		return ErrFenced
-	default:
-		return ErrInternal
+// NumCodes bounds the assigned codes: every code in
+// [CodeBadFrame, NumCodes) has a name and a sentinel.
+const NumCodes = len(codes)
+
+// String names the code.
+func (c Code) String() string {
+	if int(c) < NumCodes && codes[c].name != "" {
+		return codes[c].name
 	}
+	return fmt.Sprintf("code(%d)", byte(c))
+}
+
+// Sentinel returns the errors.Is target for the code; an unassigned code
+// maps to ErrInternal.
+func (c Code) Sentinel() error {
+	if int(c) < NumCodes && codes[c].sentinel != nil {
+		return codes[c].sentinel
+	}
+	return ErrInternal
 }
 
 // WireError is a protocol-level failure: which class, and the peer's (or
@@ -551,7 +546,7 @@ func UnmarshalType(b []byte) (types.Type, error) {
 func ErrorFields(e *WireError) [][]byte {
 	fields := [][]byte{{byte(e.Code)}, []byte(e.Msg)}
 	if e.RetryAfter > 0 {
-		fields = append(fields, uvarintField(uint64(e.RetryAfter)))
+		fields = append(fields, UvarintField(uint64(e.RetryAfter)))
 	}
 	return fields
 }
@@ -645,38 +640,36 @@ func HealthFields(h Health) [][]byte {
 	}
 	return [][]byte{
 		{flags},
-		uvarintField(uint64(h.InFlight)),
-		uvarintField(uint64(h.Sessions)),
-		uvarintField(uint64(h.Roots)),
-		uvarintField(uint64(h.Uptime)),
-		uvarintField(uint64(h.DurableEnd)),
-		uvarintField(uint64(h.AckedEnd)),
+		UvarintField(uint64(h.InFlight)),
+		UvarintField(uint64(h.Sessions)),
+		UvarintField(uint64(h.Roots)),
+		UvarintField(uint64(h.Uptime)),
+		UvarintField(uint64(h.DurableEnd)),
+		UvarintField(uint64(h.AckedEnd)),
 		{byte(h.Role)},
-		uvarintField(h.Epoch),
+		UvarintField(h.Epoch),
 	}
 }
 
-// DecodeHealth reconstructs the Health from a HEALTH response payload.
-// Shorter payloads from older servers are accepted for compatibility: six
-// fields (a pre-group-commit server, no AckedEnd) imply
-// AckedEnd = DurableEnd, and seven fields (a pre-failover server, no
-// role/epoch) imply Epoch 0 with the role derived from the ReadOnly flag.
+// DecodeHealth reconstructs the Health from the nine-field HEALTH
+// response payload.
 func DecodeHealth(fields [][]byte) (Health, error) {
-	if (len(fields) != 6 && len(fields) != 7 && len(fields) != 9) || len(fields[0]) != 1 {
+	if len(fields) != 9 || len(fields[0]) != 1 || len(fields[7]) != 1 {
 		return Health{}, errf(CodeBadFrame, "malformed HEALTH response")
 	}
 	var u [6]uint64
-	for i, f := range fields[1:] {
-		if i >= len(u) {
-			break
-		}
-		v, ok := uvarintOf(f)
+	for i := range u {
+		v, ok := uvarintOf(fields[1+i])
 		if !ok {
 			return Health{}, errf(CodeBadFrame, "malformed HEALTH field %d", i+1)
 		}
 		u[i] = v
 	}
-	h := Health{
+	epoch, ok := uvarintOf(fields[8])
+	if !ok {
+		return Health{}, errf(CodeBadFrame, "malformed HEALTH epoch field")
+	}
+	return Health{
 		Poisoned:   fields[0][0]&1 != 0,
 		ReadOnly:   fields[0][0]&2 != 0,
 		InFlight:   int(u[0]),
@@ -684,25 +677,10 @@ func DecodeHealth(fields [][]byte) (Health, error) {
 		Roots:      int(u[2]),
 		Uptime:     time.Duration(u[3]),
 		DurableEnd: int64(u[4]),
-		AckedEnd:   int64(u[4]),
-	}
-	if len(fields) >= 7 {
-		h.AckedEnd = int64(u[5])
-	}
-	if len(fields) == 9 {
-		if len(fields[7]) != 1 {
-			return Health{}, errf(CodeBadFrame, "malformed HEALTH role field")
-		}
-		h.Role = Role(fields[7][0])
-		v, ok := uvarintOf(fields[8])
-		if !ok {
-			return Health{}, errf(CodeBadFrame, "malformed HEALTH epoch field")
-		}
-		h.Epoch = v
-	} else if h.ReadOnly {
-		h.Role = RoleFollower
-	}
-	return h, nil
+		AckedEnd:   int64(u[5]),
+		Role:       Role(fields[7][0]),
+		Epoch:      epoch,
+	}, nil
 }
 
 // ---------------------------------------------------------------------------
@@ -719,16 +697,15 @@ var replCRCTable = crc32.MakeTable(crc32.Castagnoli)
 // a primary seeing a subscriber at a higher epoch than its own has been
 // superseded and must fence itself.
 func ReplicateFields(from int64, epoch uint64) [][]byte {
-	return [][]byte{uvarintField(uint64(from)), uvarintField(epoch)}
+	return [][]byte{UvarintField(uint64(from)), UvarintField(epoch)}
 }
 
-// DecodeReplicateReq decodes the REPLICATE request payload, returning the
-// offset and the subscriber's epoch (0 when the pre-failover single-field
-// form is received). An offset that does not fit an int64 is as malformed
-// as a truncated one.
+// DecodeReplicateReq decodes the REPLICATE request payload
+// [offset, epoch], returning the offset and the subscriber's epoch. An
+// offset that does not fit an int64 is as malformed as a truncated one.
 func DecodeReplicateReq(fields [][]byte) (int64, uint64, error) {
-	if len(fields) != 1 && len(fields) != 2 {
-		return 0, 0, errf(CodeBadRequest, "REPLICATE wants 1 or 2 fields, got %d", len(fields))
+	if err := Ops[OpReplicate].CheckArity(len(fields)); err != nil {
+		return 0, 0, err
 	}
 	v, ok := uvarintOf(fields[0])
 	if !ok {
@@ -737,41 +714,28 @@ func DecodeReplicateReq(fields [][]byte) (int64, uint64, error) {
 	if v > math.MaxInt64 {
 		return 0, 0, errf(CodeBadRequest, "REPLICATE offset %d overflows", v)
 	}
-	var epoch uint64
-	if len(fields) == 2 {
-		epoch, ok = uvarintOf(fields[1])
-		if !ok {
-			return 0, 0, errf(CodeBadRequest, "malformed REPLICATE epoch")
-		}
+	epoch, ok := uvarintOf(fields[1])
+	if !ok {
+		return 0, 0, errf(CodeBadRequest, "malformed REPLICATE epoch")
 	}
 	return int64(v), epoch, nil
 }
 
-// ReplDataFields encodes one REPDATA stream frame: whole commit groups as
-// raw log bytes starting at offset start, the primary's promotion epoch,
-// and the CRC-32C trailer covering the offset field, the raw bytes, and
-// the epoch field — so a flipped bit anywhere (including in the epoch a
-// follower fences on) is detected before the follower acts on the frame.
-func ReplDataFields(start int64, raw []byte, epoch uint64) [][]byte {
-	off := uvarintField(uint64(start))
-	ep := uvarintField(epoch)
-	sum := crc32.Update(crc32.Update(crc32.Update(0, replCRCTable, off), replCRCTable, raw), replCRCTable, ep)
-	var tr [4]byte
-	binary.LittleEndian.PutUint32(tr[:], sum)
-	return [][]byte{off, raw, ep, tr[:]}
-}
-
-// ReplDataTraceFields is the trace-carrying REPDATA form: the four
-// fields of ReplDataFields plus the trace ID of the commit that produced
-// the chunk's last group and the primary's wall clock (unix nanos) at
-// that commit's publication. A follower links its apply span to the
-// primary's trace and measures commit-to-visible delay from commitNS.
-// The CRC trailer covers all five preceding fields.
+// ReplDataTraceFields encodes one REPDATA stream frame: whole commit
+// groups as raw log bytes starting at offset start, the primary's
+// promotion epoch, the trace ID of the commit that produced the chunk's
+// last group and the primary's wall clock (unix nanos) at that commit's
+// publication — both 0 when the chunk does not end at a traced commit —
+// and the CRC-32C trailer covering all five preceding fields, so a flipped
+// bit anywhere (including in the epoch a follower fences on) is detected
+// before the follower acts on the frame. A follower links its apply span
+// to the primary's trace and measures commit-to-visible delay from
+// commitNS.
 func ReplDataTraceFields(start int64, raw []byte, epoch, traceID uint64, commitNS int64) [][]byte {
-	off := uvarintField(uint64(start))
-	ep := uvarintField(epoch)
-	tr := uvarintField(traceID)
-	ns := uvarintField(uint64(commitNS))
+	off := UvarintField(uint64(start))
+	ep := UvarintField(epoch)
+	tr := UvarintField(traceID)
+	ns := UvarintField(uint64(commitNS))
 	sum := crc32.Update(crc32.Update(crc32.Update(0, replCRCTable, off), replCRCTable, raw), replCRCTable, ep)
 	sum = crc32.Update(crc32.Update(sum, replCRCTable, tr), replCRCTable, ns)
 	var trailer [4]byte
@@ -779,9 +743,8 @@ func ReplDataTraceFields(start int64, raw []byte, epoch, traceID uint64, commitN
 	return [][]byte{off, raw, ep, tr, ns, trailer[:]}
 }
 
-// ReplData is a verified, decoded REPDATA frame. Epoch is 0 for the
-// pre-failover three-field form; Trace and CommitNS are 0 for both
-// pre-trace forms.
+// ReplData is a verified, decoded REPDATA frame. Trace and CommitNS are 0
+// when the chunk does not end at a traced commit.
 type ReplData struct {
 	Start    int64  // log offset the raw bytes start at
 	Raw      []byte // whole commit groups, verbatim log bytes
@@ -790,16 +753,13 @@ type ReplData struct {
 	CommitNS int64  // primary wall clock at that commit's publication
 }
 
-// DecodeReplData verifies and decodes a REPDATA frame in any of its
-// three generations: [off, raw, crc] (CRC over off+raw),
-// [off, raw, epoch, crc], or the trace-carrying six-field form. A
+// DecodeReplData verifies and decodes a six-field REPDATA frame. A
 // checksum mismatch is CodeCorrupt — the follower must drop the
 // connection and resubscribe from its durable offset rather than apply
 // the bytes; any other malformation is CodeBadFrame. Never panics
 // (FuzzReadFrame feeds this).
 func DecodeReplData(fields [][]byte) (ReplData, error) {
-	n := len(fields)
-	if (n != 3 && n != 4 && n != 6) || len(fields[n-1]) != 4 {
+	if len(fields) != 6 || len(fields[5]) != 4 {
 		return ReplData{}, errf(CodeBadFrame, "malformed REPDATA frame")
 	}
 	v, ok := uvarintOf(fields[0])
@@ -807,27 +767,22 @@ func DecodeReplData(fields [][]byte) (ReplData, error) {
 		return ReplData{}, errf(CodeBadFrame, "malformed REPDATA offset")
 	}
 	d := ReplData{Start: int64(v), Raw: fields[1]}
-	sum := crc32.Update(crc32.Update(0, replCRCTable, fields[0]), replCRCTable, fields[1])
-	if n >= 4 {
-		d.Epoch, ok = uvarintOf(fields[2])
-		if !ok {
-			return ReplData{}, errf(CodeBadFrame, "malformed REPDATA epoch")
-		}
-		sum = crc32.Update(sum, replCRCTable, fields[2])
+	if d.Epoch, ok = uvarintOf(fields[2]); !ok {
+		return ReplData{}, errf(CodeBadFrame, "malformed REPDATA epoch")
 	}
-	if n == 6 {
-		d.Trace, ok = uvarintOf(fields[3])
-		if !ok {
-			return ReplData{}, errf(CodeBadFrame, "malformed REPDATA trace")
-		}
-		ns, ok := uvarintOf(fields[4])
-		if !ok || ns > math.MaxInt64 {
-			return ReplData{}, errf(CodeBadFrame, "malformed REPDATA commit time")
-		}
-		d.CommitNS = int64(ns)
-		sum = crc32.Update(crc32.Update(sum, replCRCTable, fields[3]), replCRCTable, fields[4])
+	if d.Trace, ok = uvarintOf(fields[3]); !ok {
+		return ReplData{}, errf(CodeBadFrame, "malformed REPDATA trace")
 	}
-	if got := binary.LittleEndian.Uint32(fields[n-1]); got != sum {
+	ns, ok := uvarintOf(fields[4])
+	if !ok || ns > math.MaxInt64 {
+		return ReplData{}, errf(CodeBadFrame, "malformed REPDATA commit time")
+	}
+	d.CommitNS = int64(ns)
+	sum := uint32(0)
+	for _, f := range fields[:5] {
+		sum = crc32.Update(sum, replCRCTable, f)
+	}
+	if got := binary.LittleEndian.Uint32(fields[5]); got != sum {
 		return ReplData{}, errf(CodeCorrupt,
 			"REPDATA checksum mismatch (stored %08x, computed %08x)", got, sum)
 	}
@@ -837,25 +792,22 @@ func DecodeReplData(fields [][]byte) (ReplData, error) {
 // HeartbeatFields encodes a REPHEARTBEAT frame: the primary's durable end
 // and its promotion epoch.
 func HeartbeatFields(end int64, epoch uint64) [][]byte {
-	return [][]byte{uvarintField(uint64(end)), uvarintField(epoch)}
+	return [][]byte{UvarintField(uint64(end)), UvarintField(epoch)}
 }
 
-// DecodeHeartbeat decodes a REPHEARTBEAT frame, returning the primary's
-// durable end and its epoch (0 for the pre-failover single-field form).
+// DecodeHeartbeat decodes a REPHEARTBEAT frame [durableEnd, epoch],
+// returning the primary's durable end and its epoch.
 func DecodeHeartbeat(fields [][]byte) (int64, uint64, error) {
-	if len(fields) != 1 && len(fields) != 2 {
+	if len(fields) != 2 {
 		return 0, 0, errf(CodeBadFrame, "malformed REPHEARTBEAT frame")
 	}
 	v, ok := uvarintOf(fields[0])
 	if !ok || v > math.MaxInt64 {
 		return 0, 0, errf(CodeBadFrame, "malformed REPHEARTBEAT offset")
 	}
-	var epoch uint64
-	if len(fields) == 2 {
-		epoch, ok = uvarintOf(fields[1])
-		if !ok {
-			return 0, 0, errf(CodeBadFrame, "malformed REPHEARTBEAT epoch")
-		}
+	epoch, ok := uvarintOf(fields[1])
+	if !ok {
+		return 0, 0, errf(CodeBadFrame, "malformed REPHEARTBEAT epoch")
 	}
 	return int64(v), epoch, nil
 }
@@ -864,7 +816,7 @@ func DecodeHeartbeat(fields [][]byte) (int64, uint64, error) {
 // the sender's (higher) promotion epoch and the address writers should be
 // referred to.
 func FenceFields(epoch uint64, newPrimary string) [][]byte {
-	return [][]byte{uvarintField(epoch), []byte(newPrimary)}
+	return [][]byte{UvarintField(epoch), []byte(newPrimary)}
 }
 
 // DecodePromote decodes a PROMOTE request. No fields is the self-promote
@@ -892,9 +844,6 @@ func UvarintField(v uint64) []byte {
 	n := binary.PutUvarint(b[:], v)
 	return b[:n]
 }
-
-// uvarintField is the historical private spelling.
-func uvarintField(v uint64) []byte { return UvarintField(v) }
 
 // uvarintOf decodes a field that must be exactly one uvarint.
 func uvarintOf(f []byte) (uint64, bool) {

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"io"
 	"reflect"
 	"strings"
@@ -151,15 +152,15 @@ func TestWireErrorTaxonomy(t *testing.T) {
 	}
 }
 
-// TestCodeExhaustiveness walks every assigned code and enforces the
+// TestCodeExhaustiveness walks the code table and enforces the
 // taxonomy's three invariants: a real String() (no code(N) fallback), a
 // distinct sentinel, and a lossless encode→decode round trip. Appending
-// a Code without extending String/Sentinel fails here, not in a
-// production error path.
+// a Code without its table row fails here, not in a production error
+// path.
 func TestCodeExhaustiveness(t *testing.T) {
 	seenStr := make(map[string]Code)
 	seenSent := make(map[error]Code)
-	for code := CodeBadFrame; code <= lastCode; code++ {
+	for code := CodeBadFrame; int(code) < NumCodes; code++ {
 		s := code.String()
 		if s == "" || strings.HasPrefix(s, "code(") {
 			t.Errorf("Code %d has no real String(): %q", code, s)
@@ -193,10 +194,14 @@ func TestCodeExhaustiveness(t *testing.T) {
 				s, got.Code, got.Msg, got.RetryAfter, code, "detail", we.RetryAfter)
 		}
 	}
-	// Past the end: the fallback form is the give-away that lastCode and
-	// the assigned codes are in sync.
-	if s := Code(lastCode + 1).String(); !strings.HasPrefix(s, "code(") {
-		t.Errorf("Code past lastCode has a real String %q; lastCode is stale", s)
+	// Outside the table: the fallback forms.
+	for _, code := range []Code{0, Code(NumCodes), 0xFF} {
+		if s := code.String(); s != fmt.Sprintf("code(%d)", byte(code)) {
+			t.Errorf("unassigned Code %d has a real String %q", code, s)
+		}
+		if code.Sentinel() != ErrInternal {
+			t.Errorf("unassigned Code %d does not map to ErrInternal", code)
+		}
 	}
 }
 
@@ -230,22 +235,15 @@ func TestHealthFieldsRoundTrip(t *testing.T) {
 			t.Errorf("round trip = %+v, want %+v", got, h)
 		}
 	}
-	// A six-field payload (a pre-group-commit server without the AckedEnd
-	// watermark) still decodes; nothing was acked beyond the durable end
-	// there, so AckedEnd reports the durable end.
-	legacy := HealthFields(Health{DurableEnd: 777, AckedEnd: 777})[:6]
-	got, err := DecodeHealth(legacy)
-	if err != nil {
-		t.Fatalf("DecodeHealth(6 fields): %v", err)
-	}
-	if got.AckedEnd != 777 || got.DurableEnd != 777 {
-		t.Errorf("legacy decode = %+v, want AckedEnd = DurableEnd = 777", got)
-	}
 	// Malformed health payloads are diagnosed, not trusted.
+	full := HealthFields(Health{})
 	for name, fields := range map[string][][]byte{
-		"too few fields":  HealthFields(Health{})[:4],
-		"oversized flags": {{1, 2}, {0}, {0}, {0}, {0}},
-		"bad uvarint":     {{0}, {0x80}, {0}, {0}, {0}},
+		"too few fields":    full[:4],
+		"too many fields":   append(append([][]byte(nil), full...), []byte{0}),
+		"oversized flags":   append([][]byte{{1, 2}}, full[1:]...),
+		"bad uvarint":       append([][]byte{{0}, {0x80}}, full[2:]...),
+		"oversized role":    append(append([][]byte(nil), full[:7]...), []byte{0, 0}, full[8]),
+		"bad epoch uvarint": append(append([][]byte(nil), full[:8]...), []byte{0x80}),
 	} {
 		if _, err := DecodeHealth(fields); !errors.Is(err, ErrBadFrame) {
 			t.Errorf("%s: err = %v, want ErrBadFrame", name, err)
@@ -265,16 +263,24 @@ func TestSplitFieldsAliasesInput(t *testing.T) {
 	}
 }
 
-// TestOpcodeExhaustiveness walks every assigned request opcode the same
-// way TestCodeExhaustiveness walks the codes: each must have a real
-// OpName (no op(0xNN) fallback), names must be distinct, the traced
-// variant must name identically, and a frame round-trips. Appending an
-// opcode (STATS was the last) without extending OpName fails here.
+// TestOpcodeExhaustiveness walks every byte below TraceFlag against the
+// opcode table: each row has a real, distinct name that its traced
+// variant shares, sane arity bounds, and a frame that round-trips; every
+// other byte names as op(0xNN). Response opcodes name too. The server
+// side of the same walk is TestE2EOpcodeTable.
 func TestOpcodeExhaustiveness(t *testing.T) {
 	seen := map[string]byte{}
-	for op := OpPing; op <= lastRequestOp; op++ {
+	for i := range Ops {
+		op := byte(i)
+		p, ok := Policy(op)
 		name := OpName(op)
-		if name == "" || strings.HasPrefix(name, "op(") {
+		if !ok {
+			if want := fmt.Sprintf("op(%#x)", op); name != want {
+				t.Errorf("unassigned opcode %#x names %q, want %q", op, name, want)
+			}
+			continue
+		}
+		if name != p.Name || name == "" || strings.HasPrefix(name, "op(") {
 			t.Errorf("opcode %#x has no real OpName: %q", op, name)
 		}
 		if prev, dup := seen[name]; dup {
@@ -284,8 +290,14 @@ func TestOpcodeExhaustiveness(t *testing.T) {
 		if got := OpName(op | TraceFlag); got != name {
 			t.Errorf("traced opcode %#x names %q, want %q", op|TraceFlag, got, name)
 		}
-		if op >= TraceFlag {
-			t.Errorf("request opcode %#x collides with TraceFlag", op)
+		if p.MinFields < 0 || p.MaxFields < p.MinFields {
+			t.Errorf("%s arity [%d, %d] is empty", name, p.MinFields, p.MaxFields)
+		}
+		if p.CheckArity(p.MinFields) != nil || p.CheckArity(p.MaxFields) != nil {
+			t.Errorf("%s refuses its own arity bounds", name)
+		}
+		if err := p.CheckArity(p.MaxFields + 1); !errors.Is(err, ErrBadRequest) {
+			t.Errorf("%s with %d fields: err = %v, want ErrBadRequest", name, p.MaxFields+1, err)
 		}
 
 		// Encode → decode round trip for the opcode byte itself.
@@ -298,12 +310,10 @@ func TestOpcodeExhaustiveness(t *testing.T) {
 			t.Errorf("%s round trip = %#x, %v", name, got, err)
 		}
 	}
-	// Past the end: the fallback form is the give-away that lastRequestOp
-	// and OpName are in sync.
-	if s := OpName(lastRequestOp + 1); !strings.HasPrefix(s, "op(") {
-		t.Errorf("opcode past lastRequestOp has a real OpName %q; lastRequestOp is stale", s)
+	if _, ok := Policy(TraceFlag); ok {
+		t.Error("Policy accepts TraceFlag as a request opcode")
 	}
-	for _, op := range []byte{OpOK, OpValues, OpError} {
+	for _, op := range []byte{OpOK, OpValues, OpError, OpRepData, OpRepHeartbeat} {
 		if s := OpName(op); strings.HasPrefix(s, "op(") {
 			t.Errorf("response opcode %#x has no real OpName", op)
 		}

@@ -21,22 +21,18 @@ import (
 //	gauges:     uvarint n, then n × (str name, zigzag value)
 //	histograms: uvarint n, then n × (str name, unit byte,
 //	            uvarint b, b × zigzag bound, (b+1) × uvarint count,
-//	            zigzag sum[, flag byte, (b+1) × uvarint exemplar])
+//	            zigzag sum, flag byte[, (b+1) × uvarint exemplar])
 //
-// where str is uvarint length + bytes. The bracketed exemplar block is
-// version 2: a flag byte after the sum (1 = per-bucket exemplar trace
-// IDs follow, 0 = none). Version-1 payloads (from pre-trace servers)
-// still decode, with no exemplars; the encoder always writes version 2.
+// where str is uvarint length + bytes, and the flag byte after the sum
+// says whether per-bucket exemplar trace IDs follow (1) or not (0). The
+// version is 2; no other version decodes.
 
 // ErrBadSnapshot reports a malformed snapshot payload.
 var ErrBadSnapshot = errors.New("telemetry: malformed snapshot encoding")
 
 const (
-	snapMagic = 'S'
-	// snapVersion is what the encoder writes; the decoder also accepts
-	// snapVersionV1 (no exemplar blocks) from older peers.
-	snapVersion   = 2
-	snapVersionV1 = 1
+	snapMagic   = 'S'
+	snapVersion = 2
 
 	// Decode hardening bounds: generous multiples of what a real registry
 	// produces, small enough that a hostile length claim cannot balloon.
@@ -89,10 +85,9 @@ func UnmarshalSnapshot(b []byte) (*Snapshot, error) {
 	if len(b) < 2 || b[0] != snapMagic {
 		return nil, fmt.Errorf("%w: bad magic", ErrBadSnapshot)
 	}
-	if b[1] != snapVersion && b[1] != snapVersionV1 {
+	if b[1] != snapVersion {
 		return nil, fmt.Errorf("%w: unsupported version %d", ErrBadSnapshot, b[1])
 	}
-	hasExemplars := b[1] >= snapVersion
 	d.pos = 2
 	s := &Snapshot{}
 	takenNS, err := d.uvarint()
@@ -171,23 +166,21 @@ func UnmarshalSnapshot(b []byte) (*Snapshot, error) {
 		if h.Sum, err = d.varint(); err != nil {
 			return nil, err
 		}
-		if hasExemplars {
-			flag, err := d.byte()
-			if err != nil {
-				return nil, err
-			}
-			switch flag {
-			case 0:
-			case 1:
-				h.Exemplars = make([]uint64, nb+1)
-				for j := range h.Exemplars {
-					if h.Exemplars[j], err = d.uvarint(); err != nil {
-						return nil, err
-					}
+		flag, err := d.byte()
+		if err != nil {
+			return nil, err
+		}
+		switch flag {
+		case 0:
+		case 1:
+			h.Exemplars = make([]uint64, nb+1)
+			for j := range h.Exemplars {
+				if h.Exemplars[j], err = d.uvarint(); err != nil {
+					return nil, err
 				}
-			default:
-				return nil, fmt.Errorf("%w: bad exemplar flag %d", ErrBadSnapshot, flag)
 			}
+		default:
+			return nil, fmt.Errorf("%w: bad exemplar flag %d", ErrBadSnapshot, flag)
 		}
 		s.Histograms = append(s.Histograms, h)
 	}

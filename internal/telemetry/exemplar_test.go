@@ -67,53 +67,6 @@ func TestSnapshotCodecCarriesExemplars(t *testing.T) {
 	}
 }
 
-// TestSnapshotCodecAcceptsV1: a version-1 payload (pre-trace server,
-// no exemplar blocks) still decodes — a new `dbpl stats` must read an
-// old server's STATS response.
-func TestSnapshotCodecAcceptsV1(t *testing.T) {
-	r := NewRegistry()
-	r.Counter("c").Add(3)
-	r.Histogram("lat", UnitDuration, []int64{10, 100}).Observe(50)
-	s := r.Snapshot()
-
-	// Re-encode by hand in the v1 layout: same bytes minus the exemplar
-	// flag per histogram.
-	var v1 []byte
-	v1 = append(v1, snapMagic, snapVersionV1)
-	v1 = appendUvarint(v1, uint64(s.TakenAt.UnixNano()))
-	v1 = appendUvarint(v1, uint64(len(s.Counters)))
-	for _, c := range s.Counters {
-		v1 = appendStr(v1, c.Name)
-		v1 = appendUvarint(v1, c.Value)
-	}
-	v1 = appendUvarint(v1, uint64(len(s.Gauges)))
-	v1 = appendUvarint(v1, uint64(len(s.Histograms)))
-	for _, h := range s.Histograms {
-		v1 = appendStr(v1, h.Name)
-		v1 = append(v1, byte(h.Unit))
-		v1 = appendUvarint(v1, uint64(len(h.Bounds)))
-		for _, b := range h.Bounds {
-			v1 = appendVarint(v1, b)
-		}
-		for _, c := range h.Counts {
-			v1 = appendUvarint(v1, c)
-		}
-		v1 = appendVarint(v1, h.Sum)
-	}
-
-	got, err := UnmarshalSnapshot(v1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if v, _ := got.Counter("c"); v != 3 {
-		t.Fatalf("counter = %d", v)
-	}
-	lat, ok := got.Histogram("lat")
-	if !ok || lat.Count != 1 || lat.Exemplars != nil {
-		t.Fatalf("v1 histogram = %+v", lat)
-	}
-}
-
 func TestSnapshotDelta(t *testing.T) {
 	r := NewRegistry()
 	c := r.Counter("reqs")
