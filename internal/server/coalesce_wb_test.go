@@ -484,9 +484,18 @@ func TestAsyncAckAheadOfDurable(t *testing.T) {
 func TestAsyncFsyncFailurePoisons(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "async-poison.log")
 	inj := iofault.NewInjector(iofault.OS{})
-	srv, _ := wbServer(t, inj, path, Config{Durability: DurAsync})
+	srv, st := wbServer(t, inj, path, Config{Durability: DurAsync})
 	if _, err := srv.commit([]txnOp{putOp("base", 0)}, "", nil); err != nil {
 		t.Fatal(err)
+	}
+	// The ack raced ahead of the base batch's fsync: wait for it to land,
+	// or the fault armed below can hit that fsync instead of the next one.
+	settle := time.Now().Add(5 * time.Second)
+	for st.StagedGroups() != 0 || st.DurableEnd() <= intrinsic.HeaderSize {
+		if time.Now().After(settle) {
+			t.Fatal("base async batch never became durable")
+		}
+		time.Sleep(time.Millisecond)
 	}
 
 	inj.FailAt(iofault.OpSync, inj.Count(iofault.OpSync)+1)

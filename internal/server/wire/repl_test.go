@@ -6,8 +6,6 @@ import (
 	"errors"
 	"hash/crc32"
 	"testing"
-
-	"dbpl/internal/telemetry"
 )
 
 // TestReplicateReqRoundTrip: the subscribe request carries its offset and
@@ -27,6 +25,7 @@ func TestReplicateReqRoundTrip(t *testing.T) {
 	}
 	bad := [][][]byte{
 		{},                        // no fields
+		{UvarintField(8)},         // retired offset-only form
 		{{1}, {2}, {3}},           // three fields
 		{{0xFF}},                  // unterminated uvarint
 		{{0xFF}, UvarintField(0)}, // unterminated offset
@@ -148,7 +147,7 @@ func TestHeartbeatRoundTrip(t *testing.T) {
 	if err != nil || got != 1<<40 || epoch != 12 {
 		t.Fatalf("heartbeat round trip = (%d, %d, %v)", got, epoch, err)
 	}
-	for i, fields := range [][][]byte{{}, {{0xFF}, {1}}, {{1}, {2}, {3}}, {UvarintField(1), {0xFF}}} {
+	for i, fields := range [][][]byte{{}, {UvarintField(1)}, {{0xFF}, {1}}, {{1}, {2}, {3}}, {UvarintField(1), {0xFF}}} {
 		if _, _, err := DecodeHeartbeat(fields); !errors.Is(err, ErrBadFrame) {
 			t.Errorf("malformed heartbeat %d decoded to %v, want ErrBadFrame", i, err)
 		}
@@ -195,13 +194,11 @@ func TestHealthCarriesReplicationFields(t *testing.T) {
 	}
 }
 
-// TestRetiredShapesRejected: every message has one accepted shape. The
-// shorter forms decoders once accepted for peers that never shipped — the
-// 6- and 7-field HEALTH, the 3- and 4-field REPDATA (each with a valid
-// checksum), single-field REPLICATE and REPHEARTBEAT, and the version-1
-// STATS snapshot — are refused with a typed error, never a panic.
-func TestRetiredShapesRejected(t *testing.T) {
-	health := HealthFields(Health{ReadOnly: true, DurableEnd: 500, AckedEnd: 600})
+// TestReplDataLegacyForm: REPDATA has one accepted shape, the 6-field
+// [off, raw, epoch, trace, commit-ns, crc]. The retired 3-field
+// (pre-failover) and 4-field (pre-trace) frames are refused with a typed
+// ErrBadFrame even when their checksum is valid.
+func TestReplDataLegacyForm(t *testing.T) {
 	off, raw, ep := UvarintField(4096), []byte("group-bytes"), UvarintField(7)
 	withCRC := func(fields ...[]byte) [][]byte {
 		var sum uint32
@@ -210,33 +207,14 @@ func TestRetiredShapesRejected(t *testing.T) {
 		}
 		return append(fields, binary.LittleEndian.AppendUint32(nil, sum))
 	}
-	// A registry without histograms encodes identically in both snapshot
-	// versions but for the version byte.
-	reg := telemetry.NewRegistry()
-	reg.Counter("c").Add(3)
-	snapV1 := reg.Snapshot().AppendBinary(nil)
-	snapV1[1] = 1
-
-	for _, tc := range []struct {
-		name   string
-		decode func() error
-		want   error
-	}{
-		{"HEALTH 6 fields", func() error { _, err := DecodeHealth(health[:6]); return err }, ErrBadFrame},
-		{"HEALTH 7 fields", func() error { _, err := DecodeHealth(health[:7]); return err }, ErrBadFrame},
-		{"REPDATA 3 fields", func() error { _, err := DecodeReplData(withCRC(off, raw)); return err }, ErrBadFrame},
-		{"REPDATA 4 fields", func() error { _, err := DecodeReplData(withCRC(off, raw, ep)); return err }, ErrBadFrame},
-		{"REPLICATE 1 field", func() error { _, _, err := DecodeReplicateReq([][]byte{off}); return err }, ErrBadRequest},
-		{"REPHEARTBEAT 1 field", func() error { _, _, err := DecodeHeartbeat([][]byte{off}); return err }, ErrBadFrame},
-		{"STATS snapshot v1", func() error { _, err := telemetry.UnmarshalSnapshot(snapV1); return err }, telemetry.ErrBadSnapshot},
+	for name, fields := range map[string][][]byte{
+		"3 fields": withCRC(off, raw),
+		"4 fields": withCRC(off, raw, ep),
 	} {
-		err := tc.decode()
-		if !errors.Is(err, tc.want) {
-			t.Errorf("%s: err = %v, want %v", tc.name, err, tc.want)
-		}
+		_, err := DecodeReplData(fields)
 		var we *WireError
-		if tc.want != telemetry.ErrBadSnapshot && !errors.As(err, &we) {
-			t.Errorf("%s: %T is not a *WireError", tc.name, err)
+		if !errors.Is(err, ErrBadFrame) || !errors.As(err, &we) {
+			t.Errorf("REPDATA %s: err = %v (%T), want a *WireError for ErrBadFrame", name, err, err)
 		}
 	}
 }

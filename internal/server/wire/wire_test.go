@@ -251,6 +251,26 @@ func TestHealthFieldsRoundTrip(t *testing.T) {
 	}
 }
 
+// TestHealthLegacyForms: HEALTH has one accepted shape, the 9-field
+// payload. The retired six-field (pre-group-commit) and seven-field
+// (pre-failover) payloads, read-only or writable, are refused with a
+// typed ErrBadFrame rather than decoded with a derived role and epoch 0.
+func TestHealthLegacyForms(t *testing.T) {
+	for _, h := range []Health{
+		{ReadOnly: true, InFlight: 1, Sessions: 2, Roots: 3, Uptime: 4, DurableEnd: 500, AckedEnd: 600},
+		{Roots: 1},
+	} {
+		full := HealthFields(h)
+		for _, n := range []int{6, 7} {
+			_, err := DecodeHealth(full[:n])
+			var we *WireError
+			if !errors.Is(err, ErrBadFrame) || !errors.As(err, &we) {
+				t.Errorf("%d-field HEALTH of %+v: err = %v (%T), want a *WireError for ErrBadFrame", n, h, err, err)
+			}
+		}
+	}
+}
+
 func TestSplitFieldsAliasesInput(t *testing.T) {
 	payload := []byte{1, 'a', 2, 'b', 'c', 0}
 	fields, err := SplitFields(payload)

@@ -2,6 +2,7 @@ package telemetry
 
 import (
 	"bufio"
+	"errors"
 	"strconv"
 	"strings"
 	"sync"
@@ -64,6 +65,28 @@ func TestSnapshotCodecCarriesExemplars(t *testing.T) {
 	plain, _ := got.Histogram("plain")
 	if plain.Exemplars != nil {
 		t.Fatalf("plain histogram decoded exemplars: %v", plain.Exemplars)
+	}
+}
+
+// TestSnapshotCodecAcceptsV1: the codec accepts exactly its current
+// version. A version-1 payload (the layout before histogram exemplars) is
+// refused with ErrBadSnapshot; the same bytes stamped with the current
+// version decode.
+func TestSnapshotCodecAcceptsV1(t *testing.T) {
+	// A registry without histograms encodes identically in both versions
+	// but for the version byte.
+	r := NewRegistry()
+	r.Counter("c").Add(3)
+	cur := r.Snapshot().AppendBinary(nil)
+	if got, err := UnmarshalSnapshot(cur); err != nil {
+		t.Fatal(err)
+	} else if v, _ := got.Counter("c"); v != 3 {
+		t.Fatalf("counter = %d", v)
+	}
+	v1 := append([]byte(nil), cur...)
+	v1[1] = 1
+	if _, err := UnmarshalSnapshot(v1); !errors.Is(err, ErrBadSnapshot) {
+		t.Fatalf("v1 payload: err = %v, want ErrBadSnapshot", err)
 	}
 }
 
